@@ -1,6 +1,5 @@
 #include "cluster/service.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "linkage/record_codec.hpp"
@@ -69,12 +68,11 @@ Result<std::vector<linkage::PersonRecord>> decode_record_list(
     std::string_view blob) {
   Reader in{blob};
   std::uint64_t count = 0;
-  if (!in.get(count)) {
+  if (!in.get_count(count, linkage::wire::kMinRecordBytes)) {
     return Status::data_loss("record list: truncated count");
   }
   std::vector<linkage::PersonRecord> out;
-  out.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(count, blob.size())));
+  out.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     linkage::PersonRecord r;
     if (!linkage::wire::get_record(in, r)) {

@@ -47,8 +47,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/candidate_generator.hpp"
-
 namespace fbf::core {
 
 /// One postings entry: a key hash and the id stored under it.
@@ -115,7 +113,14 @@ struct BlockIndexStats {
   std::size_t compactions = 0;    ///< overflow folds into the base
 };
 
-class BlockIndexGenerator final : public CandidateGenerator {
+/// The block-index candidate generator (see the file comment and the
+/// contract in core/candidate_generator.hpp).
+///
+/// Thread contract (mirrors std::vector): concurrent generate() calls are
+/// safe; append() must not race generate().  Consumers build or append
+/// single-threaded (or through the builder's own fan-out) and then query
+/// from the worker pool.
+class BlockIndexGenerator {
  public:
   explicit BlockIndexGenerator(int k);
   /// Bulk build: key generation fans across `threads`; the CSR pack is
@@ -130,20 +135,21 @@ class BlockIndexGenerator final : public CandidateGenerator {
     return k >= 0 && k <= 2;
   }
 
-  [[nodiscard]] const char* name() const noexcept override {
-    return "block-index";
-  }
-  [[nodiscard]] bool indexed() const noexcept override { return true; }
-  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
+  /// Number of stored candidates.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] int k() const noexcept { return k_; }
 
-  void append(std::string_view value) override;
+  /// Appends one candidate string; ids are assigned in append order.
+  void append(std::string_view value);
   /// Bulk append with parallel key generation; folds the overflow tier
   /// into the CSR base afterwards.
   void append(std::span<const std::string> values, std::size_t threads = 1);
 
+  /// Appends to `out` the ids of stored candidates that may be within
+  /// OSA distance k of `query`, sorted ascending without duplicates.
+  /// Guaranteed superset of { j : OSA(query, t_j) <= k }.
   void generate(std::string_view query,
-                std::vector<std::uint32_t>& out) const override;
+                std::vector<std::uint32_t>& out) const;
 
   /// Folds the overflow tier into the CSR base (also runs automatically
   /// when the overflow outgrows a fraction of the base).

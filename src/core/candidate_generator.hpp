@@ -1,12 +1,5 @@
-// CandidateGenerator: the generate stage of the generate→filter→verify
+// Candidate generation: the generate stage of the generate→filter→verify
 // cascade (DESIGN.md §14).
-//
-// PR 3 unified every consumer behind one length→FBF→verify cascade, but
-// the cascade still assumed dense candidate generation: every stored row
-// is a candidate for every query, and the filter stage sweeps contiguous
-// tiles.  That assumption was baked into every call site, so adding an
-// index meant touching all of them.  This interface makes generation a
-// pluggable stage instead:
 //
 //   generate(query)  -> sorted unique candidate row ids
 //   filter(ids)      -> CandidatePipeline::filter_ids (same FBF predicate,
@@ -14,82 +7,28 @@
 //                       the same filter_block kernel)
 //   verify(pair)     -> unchanged
 //
+// Two kinds exist.  kDense is the paper's tile scan: every stored row is
+// a candidate, and consumers sweep contiguous tiles without materializing
+// id lists.  kBlockIndex is BlockIndexGenerator (core/block_index.hpp;
+// pigeonhole pieces + deletion neighborhood), which narrows the set.
+//
 // Soundness contract: for a generator built over stored strings t_0..t_n,
 // generate(q) must be a superset of { j : OSA(q, t_j) <= k } — the
-// verifier then makes the final decision, so any sound generator produces
-// exactly the dense generator's match set (property-tested).  Generators
-// are free to over-generate (hash collisions, metric supersets); they may
-// never under-generate.
+// verifier then makes the final decision, so the block index produces
+// exactly the dense scan's match set (property-tested).  It may
+// over-generate (hash collisions, piece false-sharers); it may never
+// under-generate.
 //
-// Implementations: DenseGenerator (here; the all-rows reference),
-// BlockIndexGenerator (core/block_index.hpp; pigeonhole pieces + deletion
-// neighborhood), SignatureProbeGenerator (core/signature_index.hpp; the
-// FBF pass-set via XOR-ball bucket probes), and the BK-tree / trie
-// adapters in search/generator_adapters.hpp.
-//
-// Thread contract (mirrors std::vector): concurrent generate() calls are
-// safe; append() must not race generate().  Consumers build or append
-// single-threaded (or through the builder's own fan-out) and then query
-// from the worker pool.
+// This header holds the kind names and the FBF_FORCE_GENERATOR override
+// every consumer resolves its ExecPolicy::generator through.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "core/exec_policy.hpp"
 
 namespace fbf::core {
-
-class CandidateGenerator {
- public:
-  virtual ~CandidateGenerator() = default;
-
-  /// Stable display name ("dense", "block-index", "bk-tree", ...).
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-  /// True when generate() narrows the candidate set.  False means "every
-  /// row is a candidate": callers with a tiled sweep keep it (the dense
-  /// fast path) instead of materializing id lists.
-  [[nodiscard]] virtual bool indexed() const noexcept = 0;
-
-  /// Number of stored candidates.
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-
-  /// Appends one candidate string; ids are assigned in append order.
-  virtual void append(std::string_view value) = 0;
-
-  /// Appends to `out` the ids of stored candidates that may be within
-  /// OSA distance k of `query`, sorted ascending without duplicates.
-  /// Guaranteed superset of { j : OSA(query, t_j) <= k }.
-  virtual void generate(std::string_view query,
-                        std::vector<std::uint32_t>& out) const = 0;
-};
-
-/// The reference generator: every stored row is a candidate.  generate()
-/// emits [0, size) so the exhaustive property tests and the unified bench
-/// harness can drive it through the same loop as the indexed generators;
-/// tile-sweeping consumers check indexed() and never call it.
-class DenseGenerator final : public CandidateGenerator {
- public:
-  [[nodiscard]] const char* name() const noexcept override {
-    return "dense";
-  }
-  [[nodiscard]] bool indexed() const noexcept override { return false; }
-  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
-  void append(std::string_view) override { ++size_; }
-  void generate(std::string_view,
-                std::vector<std::uint32_t>& out) const override {
-    out.reserve(out.size() + size_);
-    for (std::size_t j = 0; j < size_; ++j) {
-      out.push_back(static_cast<std::uint32_t>(j));
-    }
-  }
-
- private:
-  std::size_t size_ = 0;
-};
 
 /// Stable name for a generator kind (matches the FBF_FORCE_GENERATOR
 /// spellings: "dense", "block").

@@ -306,7 +306,7 @@ JoinStats match_strings(std::span<const std::string> left,
       const fbf::util::Stopwatch index_timer;
       block_gen.emplace(k, right, config.threads);
       stats.signature_gen_ms += index_timer.elapsed_ms();
-      stats.generator = block_gen->name();
+      stats.generator = generator_name(GeneratorKind::kBlockIndex);
     }
   } else if (config.method == Method::kSoundex) {
     const fbf::util::Stopwatch gen_timer;

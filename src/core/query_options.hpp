@@ -1,17 +1,15 @@
 // QueryOptions: the one request-level knob bundle (DESIGN.md §15).
 //
-// Before the serve layer existed, every entry point grew its own loose
-// parameter list — `match_strings_indexed(left, right, cls, k,
-// alpha_words, generator)`, `SignatureIndex::build(..., cls, alpha_words,
-// k, ...)`, per-call verifier choices — so adding one knob meant touching
-// every signature and call sites silently disagreed about defaults.
-// QueryOptions folds the per-call knobs (method, k, field layout,
-// popcount strategy) together with the execution policy
-// (`core::ExecPolicy`: pipeline routing, threads, generator) into one
-// value that the daemon's wire protocol, the in-process client and the
-// batch entry points all speak.  The method implies the cascade shape
-// (length filter / FBF / verifier) via the method.hpp helpers, so a
-// QueryOptions fully determines a PipelineConfig.
+// Each request-level entry point takes its knobs as one value rather than
+// a loose parameter list, so adding a knob touches one struct and call
+// sites cannot disagree about defaults.  QueryOptions folds the per-call
+// knobs (method, k, field layout, popcount strategy) together with the
+// execution policy (`core::ExecPolicy`: pipeline routing, threads,
+// generator) into one value that the daemon's wire protocol, the
+// in-process client and the batch entry points all speak.  The method
+// implies the cascade shape (length filter / FBF / verifier) via the
+// method.hpp helpers, so a QueryOptions fully determines a
+// PipelineConfig.
 #pragma once
 
 #include "core/candidate_pipeline.hpp"

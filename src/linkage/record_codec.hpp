@@ -4,6 +4,8 @@
 // wire path can never disagree about what a serialized record looks like.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "linkage/record.hpp"
@@ -11,6 +13,11 @@
 #include "util/wire.hpp"
 
 namespace fbf::linkage::wire {
+
+/// Smallest encoded record: the u64 id plus one u32 length per field.
+/// Decoders pass it to Reader::get_count to bound record counts.
+inline constexpr std::size_t kMinRecordBytes =
+    sizeof(std::uint64_t) + kRecordFieldCount * sizeof(std::uint32_t);
 
 void put_record(std::string& out, const PersonRecord& r);
 [[nodiscard]] bool get_record(fbf::util::wire::Reader& in, PersonRecord& r);

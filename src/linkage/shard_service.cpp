@@ -1,7 +1,5 @@
 #include "linkage/shard_service.hpp"
 
-#include <algorithm>
-
 #include "linkage/record_codec.hpp"
 #include "util/wire.hpp"
 
@@ -41,7 +39,7 @@ Result<LinkRequest> decode_link_request(std::string_view payload) {
   Reader in{payload};
   std::uint8_t flags = 0;
   std::uint64_t left_count = 0;
-  if (!in.get(flags) || !in.get(left_count)) {
+  if (!in.get(flags) || !in.get_count(left_count, wire::kMinRecordBytes)) {
     return Status::data_loss("link request: truncated header");
   }
   if ((flags & ~kFlagBroadcastRight) != 0) {
@@ -49,8 +47,7 @@ Result<LinkRequest> decode_link_request(std::string_view payload) {
   }
   LinkRequest req;
   req.broadcast_right = (flags & kFlagBroadcastRight) != 0;
-  req.left.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(left_count, payload.size())));
+  req.left.reserve(static_cast<std::size_t>(left_count));
   for (std::uint64_t i = 0; i < left_count; ++i) {
     PersonRecord r;
     if (!wire::get_record(in, r)) {
@@ -59,14 +56,13 @@ Result<LinkRequest> decode_link_request(std::string_view payload) {
     req.left.push_back(std::move(r));
   }
   std::uint64_t right_count = 0;
-  if (!in.get(right_count)) {
+  if (!in.get_count(right_count, wire::kMinRecordBytes)) {
     return Status::data_loss("link request: truncated right count");
   }
   if (req.broadcast_right && right_count != 0) {
     return Status::data_loss("link request: broadcast with inline right");
   }
-  req.right.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(right_count, payload.size())));
+  req.right.reserve(static_cast<std::size_t>(right_count));
   for (std::uint64_t i = 0; i < right_count; ++i) {
     PersonRecord r;
     if (!wire::get_record(in, r)) {

@@ -134,7 +134,7 @@ u::Result<SnapshotParts> decode_snapshot_parts(std::string_view bytes) {
   std::uint8_t has_sigs = 0;
   std::uint64_t n_records = 0;
   if (!r.get(parts.batches_ingested) || !r.get(parts.entity_total) ||
-      !r.get(has_sigs) || !r.get(n_records)) {
+      !r.get(has_sigs) || !r.get_count(n_records, wire::kMinRecordBytes)) {
     return u::Status::data_loss("snapshot payload header malformed");
   }
   parts.records.reserve(static_cast<std::size_t>(n_records));
@@ -238,7 +238,7 @@ u::Result<DeltaSegment> decode_delta(std::string_view bytes) {
   std::uint64_t n_records = 0;
   if (!r.get(seg.from_batches) || !r.get(seg.to_batches) ||
       !r.get(seg.from_record) || !r.get(seg.entity_total) ||
-      !r.get(has_sigs) || !r.get(n_records)) {
+      !r.get(has_sigs) || !r.get_count(n_records, wire::kMinRecordBytes)) {
     return u::Status::data_loss("delta payload header malformed");
   }
   seg.records.reserve(static_cast<std::size_t>(n_records));
@@ -296,7 +296,9 @@ u::Result<SnapshotManifest> decode_manifest(std::string_view bytes) {
   SnapshotManifest manifest;
   std::uint32_t n_deltas = 0;
   if (!r.get_string(manifest.base_blob) || !r.get(manifest.base_batches) ||
-      !r.get(manifest.base_records) || !r.get(n_deltas)) {
+      !r.get(manifest.base_records) ||
+      !r.get_count(n_deltas,
+                   sizeof(std::uint32_t) + 4 * sizeof(std::uint64_t))) {
     return u::Status::data_loss("manifest payload malformed");
   }
   std::uint64_t batches = manifest.base_batches;
@@ -371,7 +373,7 @@ JournalReplay replay_journal(std::string_view bytes) {
     }
     Reader r{payload};
     std::uint64_t n = 0;
-    if (!r.get(n)) {
+    if (!r.get_count(n, wire::kMinRecordBytes)) {
       replay.dropped_tail_bytes += left;
       return replay;
     }

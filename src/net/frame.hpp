@@ -64,7 +64,7 @@ enum class FrameType : std::uint16_t {
   kMatchReply = 11,  ///< matches + ladder counters (server -> client)
   kIngest = 12,      ///< records to append into the durable store
   kIngestReply = 13, ///< acknowledged sequence number (server -> client)
-  kAdmin = 14,       ///< stats / quarantine-drain command
+  kAdmin = 14,       ///< metrics / quarantine-drain command
   kAdminReply = 15,  ///< encoded admin answer (server -> client)
   kOverloaded = 16,  ///< admission control rejected the request; retry later
 };

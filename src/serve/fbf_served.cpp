@@ -2,7 +2,7 @@
 //
 // Hosts a serve::MatchService behind a net::ShardServer on an ephemeral
 // loopback port: point match queries (string or record), streaming
-// ingest into the durable entity store, and admin (stats / quarantine
+// ingest into the durable entity store, and admin (metrics / quarantine
 // drain) over the frame protocol.  The corpus seeds from the synthetic
 // field generator; the entity store persists to --data-dir (or an
 // in-memory backend when unset) and recovers on startup.

@@ -25,6 +25,10 @@ void put_counters(std::string& out, const core::PipelineCounters& c) {
   w::put<std::uint64_t>(out, c.verify_calls);
 }
 
+/// Smallest encoded MatchResponse::Match: id, entity, score, value length.
+constexpr std::size_t kMinMatchBytes =
+    2 * sizeof(std::uint32_t) + sizeof(double) + sizeof(std::uint32_t);
+
 bool get_counters(w::Reader& in, core::PipelineCounters& c) {
   return in.get(c.candidates_generated) && in.get(c.length_pass) &&
          in.get(c.fbf_evaluated) && in.get(c.fbf_pass) &&
@@ -95,7 +99,7 @@ u::Result<MatchResponse> decode_match_response(std::string_view payload) {
   MatchResponse resp;
   std::uint32_t n = 0;
   if (!get_counters(in, resp.counters) || !in.get(resp.field_comparisons) ||
-      !in.get(resp.comparisons) || !in.get(n)) {
+      !in.get(resp.comparisons) || !in.get_count(n, kMinMatchBytes)) {
     return truncated("match response");
   }
   resp.matches.resize(n);
@@ -136,7 +140,7 @@ u::Result<IngestRequest> decode_ingest_request(std::string_view payload) {
     case static_cast<std::uint8_t>(IngestRequest::Format::kRecords): {
       req.format = IngestRequest::Format::kRecords;
       std::uint32_t n = 0;
-      if (!in.get(n)) {
+      if (!in.get_count(n, lw::kMinRecordBytes)) {
         return truncated("ingest request");
       }
       req.records.resize(n);
@@ -195,8 +199,6 @@ u::Result<AdminCommand> decode_admin_request(std::string_view payload) {
     return truncated("admin request");
   }
   switch (command) {
-    case static_cast<std::uint8_t>(AdminCommand::kStats):
-      return AdminCommand::kStats;
     case static_cast<std::uint8_t>(AdminCommand::kDrainQuarantine):
       return AdminCommand::kDrainQuarantine;
     case static_cast<std::uint8_t>(AdminCommand::kMetrics):
@@ -210,21 +212,6 @@ u::Result<AdminCommand> decode_admin_request(std::string_view payload) {
 std::string encode_admin_reply(const AdminReply& reply) {
   std::string out;
   w::put<std::uint8_t>(out, static_cast<std::uint8_t>(reply.command));
-  const ServiceStats& s = reply.stats;
-  w::put<std::uint64_t>(out, s.store_size);
-  w::put<std::uint64_t>(out, s.entity_count);
-  w::put<std::uint64_t>(out, s.corpus_size);
-  w::put_string(out, s.kernel);
-  w::put<std::uint64_t>(out, s.queries);
-  w::put<std::uint64_t>(out, s.ingests);
-  w::put<std::uint64_t>(out, s.overloaded);
-  w::put<std::uint64_t>(out, s.quarantined);
-  w::put<std::uint64_t>(out, s.coalesced_batches);
-  w::put<std::uint64_t>(out, s.coalesced_queries);
-  w::put<std::uint64_t>(out, s.max_batch);
-  w::put<double>(out, s.p50_ms);
-  w::put<double>(out, s.p99_ms);
-  w::put<double>(out, s.p999_ms);
   w::put<std::uint64_t>(out, reply.drain.repaired);
   w::put<std::uint64_t>(out, reply.drain.still_bad);
   w::put<std::uint64_t>(out, reply.drain.doubled_delimiter);
@@ -241,14 +228,7 @@ u::Result<AdminReply> decode_admin_reply(std::string_view payload) {
     return truncated("admin reply");
   }
   reply.command = static_cast<AdminCommand>(command);
-  ServiceStats& s = reply.stats;
-  if (!in.get(s.store_size) || !in.get(s.entity_count) ||
-      !in.get(s.corpus_size) || !in.get_string(s.kernel) ||
-      !in.get(s.queries) || !in.get(s.ingests) || !in.get(s.overloaded) ||
-      !in.get(s.quarantined) || !in.get(s.coalesced_batches) ||
-      !in.get(s.coalesced_queries) || !in.get(s.max_batch) ||
-      !in.get(s.p50_ms) || !in.get(s.p99_ms) || !in.get(s.p999_ms) ||
-      !in.get(reply.drain.repaired) || !in.get(reply.drain.still_bad) ||
+  if (!in.get(reply.drain.repaired) || !in.get(reply.drain.still_bad) ||
       !in.get(reply.drain.doubled_delimiter) ||
       !in.get(reply.drain.shifted_column)) {
     return truncated("admin reply");

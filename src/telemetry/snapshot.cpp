@@ -278,8 +278,11 @@ u::Result<MetricsSnapshot> decode_metrics_snapshot(std::string_view payload) {
   };
   w::Reader in{payload};
   MetricsSnapshot snap;
+  // Minimum encoded row sizes bound each section count (Reader::get_count):
+  // a name's u32 length plus the fixed-width value(s).
+  constexpr std::size_t kName = sizeof(std::uint32_t);
   std::uint32_t n = 0;
-  if (!in.get(n)) {
+  if (!in.get_count(n, kName + sizeof(std::uint64_t))) {
     return truncated();
   }
   snap.counters.resize(n);
@@ -288,7 +291,7 @@ u::Result<MetricsSnapshot> decode_metrics_snapshot(std::string_view payload) {
       return truncated();
     }
   }
-  if (!in.get(n)) {
+  if (!in.get_count(n, kName + sizeof(std::int64_t))) {
     return truncated();
   }
   snap.gauges.resize(n);
@@ -297,7 +300,7 @@ u::Result<MetricsSnapshot> decode_metrics_snapshot(std::string_view payload) {
       return truncated();
     }
   }
-  if (!in.get(n)) {
+  if (!in.get_count(n, kName + sizeof(std::uint64_t) + 5 * sizeof(double))) {
     return truncated();
   }
   snap.histograms.resize(n);
@@ -308,7 +311,7 @@ u::Result<MetricsSnapshot> decode_metrics_snapshot(std::string_view payload) {
       return truncated();
     }
   }
-  if (!in.get(n)) {
+  if (!in.get_count(n, 2 * kName)) {
     return truncated();
   }
   snap.info.resize(n);

@@ -37,8 +37,8 @@ struct MetricsSnapshot {
   std::vector<HistogramStats> histograms;
   std::vector<std::pair<std::string, std::string>> info;
 
-  /// Lookup helpers (0 / empty when absent) — convenience for tests and
-  /// the deprecated-stats adapters.
+  /// Lookup helpers (0 / empty when absent) — convenience for tests,
+  /// benches and admin tooling.
   [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
   [[nodiscard]] std::int64_t gauge(std::string_view name) const noexcept;
   [[nodiscard]] const HistogramStats* histogram(

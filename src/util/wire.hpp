@@ -6,6 +6,7 @@
 // socket), not interchange formats.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -52,6 +53,22 @@ struct Reader {
     }
     s.assign(data.data() + pos, len);
     pos += len;
+    return true;
+  }
+
+  /// Reads an element count (u32 unless the format says otherwise) and
+  /// accepts it only if the unread bytes could hold that many elements
+  /// of at least `min_bytes_per_elem` (>= 1) bytes each.  A count read
+  /// from the wire is never trusted to size an allocation: a lying one
+  /// fails here, before any resize or reserve.
+  template <typename Count = std::uint32_t>
+  bool get_count(Count& n, std::size_t min_bytes_per_elem) {
+    static_assert(std::is_unsigned_v<Count>);
+    Count raw = 0;
+    if (!get(raw) || raw > (data.size() - pos) / min_bytes_per_elem) {
+      return false;
+    }
+    n = raw;
     return true;
   }
 

@@ -22,6 +22,7 @@
 #include "linkage/person_gen.hpp"
 #include "net/tcp.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace {
 
@@ -342,6 +343,10 @@ TEST(ClusterProtocol, RecordListRoundTrips) {
   }
   EXPECT_FALSE(cl::decode_record_list(blob.substr(0, blob.size() - 3)).ok());
   EXPECT_FALSE(cl::decode_record_list(blob + "x").ok());
+  // A count the blob cannot hold is refused before any reserve.
+  std::string inflated;
+  u::wire::put<std::uint64_t>(inflated, ~std::uint64_t{0});
+  EXPECT_FALSE(cl::decode_record_list(inflated).ok());
 }
 
 TEST(ClusterProtocol, PayloadsRoundTrip) {

@@ -1,6 +1,7 @@
 // Serve-layer properties (DESIGN.md §15): the coalescing contract
 // (batched Q>1 byte-identical to sequential Q=1), overload/backpressure,
 // kill-mid-ingest durability, and quarantine triage over the protocol.
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -21,7 +22,9 @@
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "storage/mem_object.hpp"
+#include "telemetry/snapshot.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace c = fbf::core;
 namespace d = fbf::datagen;
@@ -445,15 +448,41 @@ TEST(ServeProtocol, RequestAndReplyCodecsRoundTrip) {
   ASSERT_TRUE(ingest_rt.ok());
   EXPECT_EQ(ingest_rt->csv, ingest.csv);
 
-  s::AdminReply admin;
-  admin.command = s::AdminCommand::kStats;
-  admin.stats.kernel = "tile-avx2";
-  admin.stats.p999_ms = 1.25;
-  const u::Result<s::AdminReply> admin_rt =
-      s::decode_admin_reply(s::encode_admin_reply(admin));
-  ASSERT_TRUE(admin_rt.ok());
-  EXPECT_EQ(admin_rt->stats.kernel, "tile-avx2");
-  EXPECT_EQ(admin_rt->stats.p999_ms, 1.25);
+  // An admin reply carries the command, the drain tallies and the
+  // metrics snapshot — nothing else.
+  s::AdminReply drain;
+  drain.command = s::AdminCommand::kDrainQuarantine;
+  drain.drain.repaired = 3;
+  drain.drain.still_bad = 1;
+  drain.drain.doubled_delimiter = 2;
+  drain.drain.shifted_column = 1;
+  const u::Result<s::AdminReply> drain_rt =
+      s::decode_admin_reply(s::encode_admin_reply(drain));
+  ASSERT_TRUE(drain_rt.ok());
+  EXPECT_EQ(drain_rt->command, s::AdminCommand::kDrainQuarantine);
+  EXPECT_EQ(drain_rt->drain.repaired, 3u);
+  EXPECT_EQ(drain_rt->drain.still_bad, 1u);
+  EXPECT_EQ(drain_rt->drain.doubled_delimiter, 2u);
+  EXPECT_EQ(drain_rt->drain.shifted_column, 1u);
+
+  s::AdminReply metrics;
+  metrics.command = s::AdminCommand::kMetrics;
+  metrics.metrics.counters.emplace_back("serve.queries", 42);
+  metrics.metrics.gauges.emplace_back("serve.store_size", 7);
+  metrics.metrics.histograms.push_back(
+      {"serve.query", 5, 0.5, 0.4, 1.0, 1.25, 1.5});
+  metrics.metrics.info.emplace_back("serve.kernel", "tile-avx2");
+  const u::Result<s::AdminReply> metrics_rt =
+      s::decode_admin_reply(s::encode_admin_reply(metrics));
+  ASSERT_TRUE(metrics_rt.ok());
+  EXPECT_EQ(metrics_rt->command, s::AdminCommand::kMetrics);
+  EXPECT_EQ(metrics_rt->metrics.counter("serve.queries"), 42u);
+  EXPECT_EQ(metrics_rt->metrics.gauge("serve.store_size"), 7);
+  const t::HistogramStats* query_ms =
+      metrics_rt->metrics.histogram("serve.query");
+  ASSERT_NE(query_ms, nullptr);
+  EXPECT_EQ(query_ms->p999, 1.25);
+  EXPECT_EQ(metrics_rt->metrics.info, metrics.metrics.info);
 }
 
 TEST(ServeProtocol, TruncatedPayloadsDecodeToInvalidArgument) {
@@ -471,4 +500,125 @@ TEST(ServeProtocol, TruncatedPayloadsDecodeToInvalidArgument) {
   const u::Result<fbf::MatchRequest> padded =
       s::decode_match_request(encoded + "x");
   EXPECT_FALSE(padded.ok());
+}
+
+TEST(ServeProtocol, RemovedStatsCommandIsInvalidArgumentOnBothBackends) {
+  // Admin command byte 1 was the fixed-field stats view.  It is gone: a
+  // stale client sending it gets kInvalidArgument from either backend,
+  // and the service keeps answering afterwards.
+  const std::string stale_stats(1, '\x01');
+  const u::Result<s::AdminCommand> decoded =
+      s::decode_admin_request(stale_stats);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), u::StatusCode::kInvalidArgument);
+
+  const d::PairedDataset dataset = make_dataset(200, 73);
+  auto backend = std::make_shared<fbf::storage::MemObjectBackend>();
+  s::MatchService service(s::ServiceOptions{}, backend);
+  service.index_strings(dataset.clean);
+  fbf::net::ShardServer server(service.handler());
+  fbf::net::TcpTransportOptions transport_options;
+  transport_options.port = server.port();
+  const std::vector<std::shared_ptr<fbf::net::ShardTransport>> transports = {
+      std::make_shared<fbf::net::InProcessTransport>(service.handler()),
+      std::make_shared<fbf::net::TcpTransport>(transport_options)};
+  for (const auto& transport : transports) {
+    const u::Result<std::string> reply =
+        transport->call(0, 1, fbf::net::FrameType::kAdmin, stale_stats);
+    ASSERT_FALSE(reply.ok()) << transport->name();
+    EXPECT_EQ(reply.status().code(), u::StatusCode::kInvalidArgument)
+        << transport->name();
+
+    fbf::Client client(transport);
+    const u::Result<fbf::MatchResponse> match =
+        client.match_string(dataset.error[1]);
+    ASSERT_TRUE(match.ok()) << transport->name();
+    const u::Result<t::MetricsSnapshot> metrics = client.metrics();
+    ASSERT_TRUE(metrics.ok()) << transport->name();
+    EXPECT_EQ(metrics->gauge("serve.corpus_size"),
+              static_cast<std::int64_t>(dataset.clean.size()));
+  }
+}
+
+// --- hostile wire counts -----------------------------------------------
+
+namespace {
+
+/// A kIngest kRecords payload that claims `n` records and holds none:
+/// five bytes on the wire.
+std::string inflated_ingest_payload(std::uint32_t n) {
+  std::string out;
+  u::wire::put<std::uint8_t>(
+      out, static_cast<std::uint8_t>(s::IngestRequest::Format::kRecords));
+  u::wire::put<std::uint32_t>(out, n);
+  return out;
+}
+
+/// Overwrites the u32 at `offset` in `payload` with 0xFFFFFFFF.
+std::string inflate_count_at(std::string payload, std::size_t offset) {
+  std::string count;
+  u::wire::put<std::uint32_t>(count, 0xFFFFFFFFu);
+  payload.replace(offset, count.size(), count);
+  return payload;
+}
+
+}  // namespace
+
+TEST(ServeWireCounts, InflatedCountsDecodeToInvalidArgument) {
+  // Each count below asks for hundreds of GB if trusted (0xFFFFFFFF
+  // PersonRecords is ~1 TB).  The decoders must refuse it from the
+  // remaining payload size, before any allocation.
+  const std::string ingest = inflated_ingest_payload(0xFFFFFFFFu);
+  ASSERT_EQ(ingest.size(), 5u);
+  const u::Result<s::IngestRequest> ingest_rt =
+      s::decode_ingest_request(ingest);
+  EXPECT_FALSE(ingest_rt.ok());
+  EXPECT_EQ(ingest_rt.status().code(), u::StatusCode::kInvalidArgument);
+
+  // A match response's count is its last u32 when it holds no matches.
+  const std::string response = s::encode_match_response(fbf::MatchResponse{});
+  const u::Result<fbf::MatchResponse> response_rt = s::decode_match_response(
+      inflate_count_at(response, response.size() - sizeof(std::uint32_t)));
+  EXPECT_FALSE(response_rt.ok());
+  EXPECT_EQ(response_rt.status().code(), u::StatusCode::kInvalidArgument);
+
+  // An empty metrics snapshot is four u32 section counts (counters,
+  // gauges, histograms, info); inflate each in turn.
+  const std::string snapshot = t::encode_metrics_snapshot(t::MetricsSnapshot{});
+  ASSERT_EQ(snapshot.size(), 4 * sizeof(std::uint32_t));
+  for (std::size_t section = 0; section < 4; ++section) {
+    const u::Result<t::MetricsSnapshot> snapshot_rt =
+        t::decode_metrics_snapshot(
+            inflate_count_at(snapshot, section * sizeof(std::uint32_t)));
+    EXPECT_FALSE(snapshot_rt.ok()) << "section " << section;
+    EXPECT_EQ(snapshot_rt.status().code(), u::StatusCode::kInvalidArgument)
+        << "section " << section;
+  }
+}
+
+TEST(ServeWireCounts, InflatedIngestOverTcpGetsAnErrorAndServingContinues) {
+  const d::PairedDataset dataset = make_dataset(200, 71);
+  auto backend = std::make_shared<fbf::storage::MemObjectBackend>();
+  s::MatchService service(s::ServiceOptions{}, backend);
+  service.index_strings(dataset.clean);
+  fbf::net::ShardServer server(service.handler());
+  fbf::net::TcpTransportOptions transport_options;
+  transport_options.port = server.port();
+  const auto transport =
+      std::make_shared<fbf::net::TcpTransport>(transport_options);
+
+  const u::Result<std::string> reply =
+      transport->call(0, 1, fbf::net::FrameType::kIngest,
+                      inflated_ingest_payload(0xFFFFFFFFu));
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), u::StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.durable_store().store().size(), 0u);
+
+  fbf::Client client(transport);
+  const u::Result<fbf::MatchResponse> match =
+      client.match_string(dataset.error[0]);
+  ASSERT_TRUE(match.ok()) << match.status().to_string();
+  const c::CorpusResult direct = service.corpus().query(dataset.error[0]);
+  EXPECT_EQ(match->matches.size(),
+            std::min<std::size_t>(direct.matches.size(), 8));
 }

@@ -17,6 +17,7 @@
 #include "net/tcp.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace {
 
@@ -74,6 +75,11 @@ TEST(ShardProtocol, TruncatedRequestIsRejected) {
   }
   const auto trailing = lk::decode_link_request(payload + "x");
   EXPECT_FALSE(trailing.ok());
+  // A left count the payload cannot hold is refused before any reserve.
+  std::string inflated;
+  u::wire::put<std::uint8_t>(inflated, 0);
+  u::wire::put<std::uint64_t>(inflated, ~std::uint64_t{0});
+  EXPECT_FALSE(lk::decode_link_request(inflated).ok());
 }
 
 TEST(ShardProtocol, ShardReplyRoundTrips) {

@@ -8,8 +8,11 @@
 //  4. thread scaling of the parallel join (extension beyond the paper);
 //  5. blocking interaction: exhaustive FPDL vs standard blocking vs
 //     sorted neighbourhood on the RL engine — candidate counts and recall
-//     (the paper's §1 discussion, quantified).
+//     (the paper's §1 discussion, quantified) — plus hash partition keys
+//     hash(LN) % n and hash(SDX(LN)) % n, the recall a hash-partitioned
+//     distributed join loses to typos in its partition key.
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -20,6 +23,8 @@
 #include "linkage/person_gen.hpp"
 #include "metrics/pdl.hpp"
 #include "metrics/qgram.hpp"
+#include "metrics/soundex.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -144,28 +149,40 @@ void ablate_blocking(const fbf::bench::BenchOptions& opts) {
   lk::LinkConfig config;
   config.comparator = lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
   u::Table table({"candidates", "pairs", "TP", "FN", "Time ms"});
-  const auto exhaustive = lk::link_exhaustive(clean, error, config);
-  table.add_row({"exhaustive",
-                 u::with_commas(static_cast<std::int64_t>(exhaustive.candidate_pairs)),
-                 u::with_commas(static_cast<std::int64_t>(exhaustive.true_positives)),
-                 u::with_commas(static_cast<std::int64_t>(exhaustive.false_negatives(n))),
-                 u::fixed(exhaustive.link_ms, 1)});
-  const auto std_pairs =
-      lk::standard_block_pairs(clean, error, lk::block_key_soundex_lastname);
-  const auto blocked = lk::link_candidates(clean, error, std_pairs, config);
-  table.add_row({"soundex blocks",
-                 u::with_commas(static_cast<std::int64_t>(blocked.candidate_pairs)),
-                 u::with_commas(static_cast<std::int64_t>(blocked.true_positives)),
-                 u::with_commas(static_cast<std::int64_t>(blocked.false_negatives(n))),
-                 u::fixed(blocked.link_ms, 1)});
+  const auto count = [](std::uint64_t v) {
+    return u::with_commas(static_cast<std::int64_t>(v));
+  };
+  const auto add_row = [&](const std::string& name, const lk::LinkStats& s) {
+    table.add_row({name, count(s.candidate_pairs), count(s.true_positives),
+                   count(s.false_negatives(n)), u::fixed(s.link_ms, 1)});
+  };
+  const auto block_on = [&](const lk::BlockKeyFn& key) {
+    return lk::link_candidates(clean, error,
+                               lk::standard_block_pairs(clean, error, key),
+                               config);
+  };
+  add_row("exhaustive", lk::link_exhaustive(clean, error, config));
+  add_row("soundex blocks", block_on(lk::block_key_soundex_lastname));
   const auto snm_pairs =
       lk::sorted_neighborhood_pairs(clean, error, lk::sort_key_name, 10);
-  const auto snm = lk::link_candidates(clean, error, snm_pairs, config);
-  table.add_row({"sorted nbhd w=10",
-                 u::with_commas(static_cast<std::int64_t>(snm.candidate_pairs)),
-                 u::with_commas(static_cast<std::int64_t>(snm.true_positives)),
-                 u::with_commas(static_cast<std::int64_t>(snm.false_negatives(n))),
-                 u::fixed(snm.link_ms, 1)});
+  add_row("sorted nbhd w=10",
+          lk::link_candidates(clean, error, snm_pairs, config));
+  // A hash-partitioned distributed join (left and right both scattered by
+  // the partition key) evaluates exactly the pairs that share a partition
+  // id — i.e. blocking on that id.  These rows measure the recall such a
+  // partition key costs; link_elastic broadcasts the right list instead.
+  for (const bool soundex : {false, true}) {
+    for (const std::uint64_t parts : {2u, 4u, 8u, 16u}) {
+      const auto key = [soundex, parts](const lk::PersonRecord& r) {
+        const std::string field =
+            soundex ? fbf::metrics::soundex(r.last_name) : r.last_name;
+        return std::to_string(u::fnv1a64(field) % parts);
+      };
+      add_row(std::string(soundex ? "hash(SDX(LN)) % " : "hash(LN) % ") +
+                  std::to_string(parts),
+              block_on(key));
+    }
+  }
   table.render(std::cout);
   std::printf("(blocking trades recall — FN > 0 — for candidate count; "
               "exhaustive FPDL keeps FN at the comparator's floor)\n");

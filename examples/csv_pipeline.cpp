@@ -1,10 +1,8 @@
 // End-to-end pipeline on CSV files — the shape of a real deployment:
-// export two databases to disk, load them back, link them (optionally
-// sharded across simulated nodes), and write the matched pairs out.
+// export two databases to disk, load them back, link them, and write the
+// matched pairs out.
 //
-//   build/examples/csv_pipeline [--n 600] [--seed 42] [--shards 4]
-//                               [--scheme replicate|hash-ln|hash-sdx]
-//                               [--dir /tmp]
+//   build/examples/csv_pipeline [--n 600] [--seed 42] [--dir /tmp]
 //
 // Produces <dir>/fbf_clean.csv, <dir>/fbf_error.csv and
 // <dir>/fbf_matches.csv.
@@ -14,8 +12,8 @@
 #include <string>
 
 #include "linkage/csv_io.hpp"
+#include "linkage/engine.hpp"
 #include "linkage/person_gen.hpp"
-#include "linkage/sharded.hpp"
 #include "linkage/standardize.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -25,19 +23,7 @@ int main(int argc, char** argv) {
   const fbf::util::CliArgs args(argc, argv);
   const auto n = static_cast<std::size_t>(args.get_int("n", 600));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const auto shards = static_cast<std::size_t>(args.get_int("shards", 4));
-  const std::string scheme_name = args.get_string("scheme", "replicate");
   const std::string dir = args.get_string("dir", "/tmp");
-
-  lk::PartitionScheme scheme = lk::PartitionScheme::kReplicateRight;
-  if (scheme_name == "hash-ln") {
-    scheme = lk::PartitionScheme::kHashLastName;
-  } else if (scheme_name == "hash-sdx") {
-    scheme = lk::PartitionScheme::kHashSoundexLastName;
-  } else if (scheme_name != "replicate") {
-    std::fprintf(stderr, "unknown scheme %s\n", scheme_name.c_str());
-    return 1;
-  }
 
   // 1. Export: two "databases" on disk.
   fbf::util::Rng rng(seed);
@@ -97,39 +83,21 @@ int main(int argc, char** argv) {
   std::printf("loaded and standardized %zu + %zu records\n", left.size(),
               right.size());
 
-  // 3. Link, sharded across simulated nodes.
-  lk::ShardedConfig config;
-  config.n_shards = shards;
-  config.scheme = scheme;
-  config.link.comparator =
-      lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-  config.link.collect_matches = true;
-  const auto result = lk::link_sharded(left, right, config);
-  std::printf("\nscheme=%s shards=%zu\n", lk::partition_scheme_name(scheme),
-              shards);
-  std::printf("%-6s %10s %10s %8s %10s\n", "shard", "left", "pairs",
-              "matches", "time ms");
-  for (std::size_t s = 0; s < result.shards.size(); ++s) {
-    const auto& shard = result.shards[s];
-    std::printf("%-6zu %10zu %10llu %8llu %10.1f\n", s, shard.left_count,
-                static_cast<unsigned long long>(shard.pairs),
-                static_cast<unsigned long long>(shard.matches),
-                shard.link_ms);
-  }
-  std::printf("total: pairs=%llu matches=%llu true=%llu  makespan=%.1f ms "
-              "(sum %.1f ms, imbalance %.2f)\n",
-              static_cast<unsigned long long>(result.total_pairs),
-              static_cast<unsigned long long>(result.total_matches),
-              static_cast<unsigned long long>(result.total_true_positives),
-              result.makespan_ms, result.sum_ms, result.imbalance());
+  // 3. Link: one lossless exhaustive pass.
+  lk::LinkConfig config;
+  config.comparator = lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
+  config.collect_matches = true;
+  const auto stats = lk::link_exhaustive(left, right, config);
+  std::printf("\ntotal: pairs=%llu matches=%llu true=%llu  (%.1f ms)\n",
+              static_cast<unsigned long long>(stats.candidate_pairs),
+              static_cast<unsigned long long>(stats.matches),
+              static_cast<unsigned long long>(stats.true_positives),
+              stats.link_ms);
   std::printf("recall vs %zu true pairs: %.3f\n", n,
-              static_cast<double>(result.total_true_positives) /
+              static_cast<double>(stats.true_positives) /
                   static_cast<double>(n));
 
-  // 4. Export the match pairs (ids only; shard-local pair lists were not
-  // collected per shard here, so re-run one lossless pass for the file).
-  lk::LinkConfig flat = config.link;
-  const auto stats = lk::link_exhaustive(left, right, flat);
+  // 4. Export the match pairs (ids only).
   const std::string match_path = dir + "/fbf_matches.csv";
   std::ofstream match_out(match_path);
   fbf::util::write_csv_row(match_out, {"left_id", "right_id"});

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "cluster/service.hpp"
-#include "linkage/shard_service.hpp"
 #include "metrics/soundex.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/retry.hpp"
@@ -633,7 +632,7 @@ void ElasticRun::query_partition(Partition& p) {
       auto raw = gate_->call(node, fold_attempt(p.index, kOpQuery, round),
                              net::FrameType::kReplicaQuery, payload);
       if (raw.ok()) {
-        auto decoded = linkage::decode_shard_reply(raw.value());
+        auto decoded = decode_shard_reply(raw.value());
         if (decoded.ok()) {
           reply.completed = true;
           reply.served_by = node;

@@ -1,15 +1,21 @@
 // Elastic sharded linkage: replica groups, quorum writes, consistent-hash
 // partitioning and live rebalance under fault injection.
 //
-// linkage::link_sharded models a *static* cluster: fixed N, modulo
-// scatter, a failed shard's partition is dropped and reported.  This
-// layer models the cluster the ROADMAP's north star actually needs —
-// membership changes while a run is in flight, and node deaths must not
-// cost recall:
+// This is the repo's one distributed driver (the paper's conclusion names
+// a distributed entity resolver as the next step).  It models the cluster
+// such a resolver needs — membership changes while a run is in flight,
+// and node deaths must not cost recall:
 //
 //  * Placement is a consistent-hash ring (cluster/ring.hpp): the left
 //    list is partitioned by ring arc, and a membership change moves only
 //    the arcs that changed hands (~1/N of keys), not the whole key space.
+//    The right list is broadcast to every node, which is what makes the
+//    run lossless: placement decides balance and movement, never recall.
+//    (A hash-partitioned right side evaluates exactly the pairs blocking
+//    on the partition id would; bench_ablation measures that recall loss
+//    through the blocking API.)
+//  * With R=1 a dead node's partitions are dropped and reported
+//    (dropped_partitions / dropped_pairs) instead of failing the run.
 //  * Each partition is written to R replicas (the next R distinct nodes
 //    clockwise) before queries run; the write phase needs W acks to call
 //    a partition healthy.  Queries take any live replica, failing over
@@ -37,9 +43,9 @@
 #include "cluster/rebalance.hpp"
 #include "cluster/ring.hpp"
 #include "linkage/engine.hpp"
-#include "linkage/sharded.hpp"
 #include "net/transport.hpp"
 #include "util/fault.hpp"
+#include "util/retry.hpp"
 
 namespace fbf::cluster {
 
@@ -53,6 +59,17 @@ enum class AffinityKey {
 };
 
 [[nodiscard]] const char* affinity_key_name(AffinityKey key) noexcept;
+
+/// Retry/degradation policy for injected transport faults.  On the
+/// in-process transport backoff is *simulated*: the delay a real scheduler
+/// would sleep is recorded in the run's backoff total instead of actually
+/// sleeping, keeping runs fast and deterministic.  On a real-time
+/// transport (TCP) the same delays are slept for real.
+struct ShardFaultPolicy {
+  fbf::util::FaultConfig faults;
+  /// Bounded exponential backoff, shared with the transport layer.
+  fbf::util::RetryPolicy retry;
+};
 
 /// One scripted membership event, fired just before query number
 /// `at_query` (0-based, in partition-id order) of the query phase.
@@ -93,14 +110,16 @@ struct ElasticConfig {
   linkage::LinkConfig link;  ///< comparator each replica runs
   /// Transport fault injection + the retry/backoff policy shared by
   /// replica writes, queries and migration calls.  nullopt = fault-free.
-  std::optional<linkage::ShardFaultPolicy> fault;
+  std::optional<ShardFaultPolicy> fault;
   /// Storage faults inside every node's object store (local service runs
   /// only; ignored when `transport` is supplied).
   fbf::util::FaultConfig storage_faults;
-  /// Delivery backend, as in ShardedConfig: nullptr = a private
-  /// InProcessTransport over a local ClusterService; point it at a
+  /// Delivery backend: nullptr = a private InProcessTransport over a
+  /// local ClusterService (the deterministic reference); point it at a
   /// TcpTransport whose server hosts a ClusterService handler to run the
-  /// same protocol over real sockets.
+  /// same protocol over real sockets.  When a transport is supplied,
+  /// fault *injection* belongs to that transport (and its server); the
+  /// driver still takes its retry policy from `fault`.
   net::ShardTransport* transport = nullptr;
 };
 

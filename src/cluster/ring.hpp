@@ -1,8 +1,8 @@
 // Consistent-hash ring with seeded virtual nodes.
 //
-// The fixed-N modulo scatter in linkage::link_sharded re-partitions the
-// whole key space whenever N changes; a production cluster adds and loses
-// nodes routinely, so partitioning must be *incremental*: a membership
+// A fixed-N modulo scatter re-partitions the whole key space whenever N
+// changes; a production cluster adds and loses nodes routinely, so
+// partitioning must be *incremental*: a membership
 // change may move only the keys whose arc actually changed hands (~1/N of
 // them), everything else stays put.  Classic consistent hashing does
 // exactly that.  Each node projects `vnodes_per_node` points onto a u64
@@ -30,8 +30,8 @@
 namespace fbf::cluster {
 
 /// Cluster node identity.  Plain integers: the transport layer already
-/// addresses logical shard workers by index, and fault injection keys
-/// off the same value.
+/// addresses logical nodes by index (the frame's shard field), and fault
+/// injection keys off the same value.
 using NodeId = std::uint32_t;
 
 struct RingOptions {

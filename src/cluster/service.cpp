@@ -119,6 +119,25 @@ Result<ReplicaQuery> decode_replica_query(std::string_view payload) {
   return msg;
 }
 
+std::string encode_shard_reply(const ShardReply& reply) {
+  std::string out;
+  put<std::uint64_t>(out, reply.pairs);
+  put<std::uint64_t>(out, reply.matches);
+  put<std::uint64_t>(out, reply.true_positives);
+  put<double>(out, reply.link_ms);
+  return out;
+}
+
+Result<ShardReply> decode_shard_reply(std::string_view payload) {
+  Reader in{payload};
+  ShardReply reply;
+  if (!in.get(reply.pairs) || !in.get(reply.matches) ||
+      !in.get(reply.true_positives) || !in.get(reply.link_ms) || !in.done()) {
+    return Status::data_loss("shard reply: malformed payload");
+  }
+  return reply;
+}
+
 std::string encode_state_fetch(const StateFetch& msg) {
   std::string out;
   put<std::uint64_t>(out, msg.pid);
@@ -178,9 +197,20 @@ Result<PartitionManifest> decode_manifest(std::string_view blob) {
 ClusterService::ClusterService(linkage::LinkConfig link,
                                std::span<const linkage::PersonRecord> right,
                                ClusterServiceOptions options)
-    : link_service_(std::move(link), right),
+    : link_(std::move(link)),
+      right_(right),
       injector_(options.storage_faults),
       store_(&injector_) {}
+
+const linkage::LinkageContext& ClusterService::right_context() {
+  const std::scoped_lock lock(context_mu_);
+  if (!right_context_.has_value()) {
+    // Full ExecPolicy so the context inherits the configured candidate
+    // generator.
+    right_context_.emplace(right_, link_.comparator, link_.exec);
+  }
+  return *right_context_;
+}
 
 Result<std::string> ClusterService::handle(const net::FrameContext& ctx,
                                            std::string_view payload) {
@@ -331,13 +361,18 @@ Result<std::string> ClusterService::handle_query(NodeId node,
     }
     records = std::move(chain.value());
   }
-  // Link outside the store lock: the request is the broadcast-right link
-  // protocol verbatim, so reply bytes are identical to the sharded path.
-  net::FrameContext ctx;
-  ctx.type = net::FrameType::kLinkRequest;
-  ctx.shard = node;
-  return link_service_.handle(ctx,
-                              linkage::encode_link_request(records, {}, true));
+  // Link outside the store lock.  The shared LinkageContext only serves
+  // the pipeline; the scalar reference path scores pairs directly.
+  const linkage::LinkStats stats =
+      link_.exec.use_pipeline
+          ? linkage::link_exhaustive(records, right_context(), link_)
+          : linkage::link_exhaustive(records, right_, link_);
+  ShardReply reply;
+  reply.pairs = stats.candidate_pairs;
+  reply.matches = stats.matches;
+  reply.true_positives = stats.true_positives;
+  reply.link_ms = stats.link_ms;
+  return encode_shard_reply(reply);
 }
 
 Result<std::string> ClusterService::handle_fetch(NodeId node,

@@ -1,10 +1,15 @@
 // ClusterService: the server side of the elastic cluster protocol.
 //
 // One service instance hosts every *logical node* of the cluster (the
-// transport addresses nodes exactly as it addresses shard workers: by
-// the frame's shard field), so the same instance backs both transports —
-// InProcessTransport calls it in place, a ShardServer hosts it behind
-// real sockets — and the transport-equivalence property stays testable.
+// transport addresses a node by the frame's shard field), so the same
+// instance backs both transports — InProcessTransport calls it in place,
+// a ShardServer hosts it behind real sockets — and the transport-
+// equivalence property stays testable.
+//
+// A replica query links the stored partition against the broadcast right
+// list through one lazily built LinkageContext (signatures + filter bank
+// built once, shared by every node the instance hosts) and answers with
+// an encoded ShardReply.
 //
 // Node state is not an in-memory map: each partition a node holds lives
 // in a storage::MemObjectBackend as the same manifest/base/delta blob
@@ -34,7 +39,6 @@
 
 #include "cluster/ring.hpp"
 #include "linkage/engine.hpp"
-#include "linkage/shard_service.hpp"
 #include "net/transport.hpp"
 #include "storage/mem_object.hpp"
 #include "util/fault.hpp"
@@ -57,6 +61,14 @@ struct ReplicaWrite {
 /// kReplicaQuery: link a stored partition against the broadcast right.
 struct ReplicaQuery {
   std::uint64_t pid = 0;
+};
+
+/// kReplicaQuery reply: the link counters the driver merges.
+struct ShardReply {
+  std::uint64_t pairs = 0;
+  std::uint64_t matches = 0;
+  std::uint64_t true_positives = 0;
+  double link_ms = 0.0;
 };
 
 /// kStateFetch: read one blob of a partition's chain (migration bulk
@@ -96,6 +108,10 @@ decode_record_list(std::string_view blob);
 
 [[nodiscard]] std::string encode_replica_query(const ReplicaQuery& msg);
 [[nodiscard]] fbf::util::Result<ReplicaQuery> decode_replica_query(
+    std::string_view payload);
+
+[[nodiscard]] std::string encode_shard_reply(const ShardReply& reply);
+[[nodiscard]] fbf::util::Result<ShardReply> decode_shard_reply(
     std::string_view payload);
 
 [[nodiscard]] std::string encode_state_fetch(const StateFetch& msg);
@@ -163,10 +179,16 @@ class ClusterService {
   [[nodiscard]] fbf::util::Result<std::vector<linkage::PersonRecord>>
   load_chain(NodeId node, std::uint64_t pid);
 
-  linkage::ShardLinkService link_service_;  ///< broadcast-right link engine
+  /// The right list's LinkageContext, built on first use.
+  const linkage::LinkageContext& right_context();
+
+  linkage::LinkConfig link_;
+  std::span<const linkage::PersonRecord> right_;
   fbf::util::FaultInjector injector_;
   storage::MemObjectBackend store_;
   std::mutex mu_;  ///< serializes chain read-modify-write across workers
+  std::mutex context_mu_;  ///< guards the lazy right_context_ build
+  std::optional<linkage::LinkageContext> right_context_;
 };
 
 }  // namespace fbf::cluster

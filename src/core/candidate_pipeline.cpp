@@ -91,11 +91,10 @@ class LadderMirror {
 
 [[nodiscard]] bool batched_capable(const PipelineConfig& config) noexcept {
   // The batched kernel computes the hardware popcount, so it stands in for
-  // the default strategy and the explicit kBatched request only; the
-  // Wegner / LUT popcount ablations must run their own per-pair loops.
+  // the default strategy only; the Wegner / LUT popcount ablations must
+  // run their own per-pair loops.
   return !config.force_per_pair &&
-         (config.popcount == fbf::util::PopcountKind::kHardware ||
-          config.popcount == fbf::util::PopcountKind::kBatched) &&
+         config.popcount == fbf::util::PopcountKind::kHardware &&
          PackedSignatureStore::supported(config.field_class,
                                          config.alpha_words);
 }

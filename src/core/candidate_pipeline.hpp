@@ -15,7 +15,7 @@
 //   verify(...)             -> pluggable DL / PDL / none verifier
 //
 // Consumers — the string join (core/match_join), the incremental
-// EntityStore, the linkage engine + sharded runner, and the signature
+// EntityStore, the linkage engine + cluster service, and the signature
 // index — all drain the same bitmaps with identical counters, so "which
 // filter ran" is no longer a per-call-site question.  The candidate store
 // is append-only and incremental: nightly batches extend the planes

@@ -29,10 +29,10 @@ struct LinkConfig {
 };
 
 /// Precomputed right-hand-side linkage state: field signatures plus the
-/// per-rule filter bank.  Build once, link many — the sharded runner's
-/// replicate-right scheme broadcasts one context to every shard instead
-/// of re-deriving filter state per shard.  `right` must outlive the
-/// context (records are referenced, not copied).
+/// per-rule filter bank.  Build once, link many — the cluster service
+/// links every replica query against one context for the broadcast
+/// right list instead of re-deriving filter state per node.  `right`
+/// must outlive the context (records are referenced, not copied).
 class LinkageContext {
  public:
   LinkageContext(std::span<const PersonRecord> right,

@@ -211,8 +211,9 @@ struct DurabilityPolicy {
   }
 };
 
-/// Degradation accounting, ShardedResult-style: a durable store keeps
-/// serving through backend trouble, and this is what the trouble cost.
+/// Degradation accounting: a durable store keeps serving through backend
+/// trouble, and this is what the trouble cost (the cluster reports its
+/// dropped partitions the same way).
 struct DurabilityStats {
   std::uint64_t checkpoints = 0;          ///< successful (base or delta)
   std::uint64_t checkpoint_failures = 0;  ///< failed attempts (retried on

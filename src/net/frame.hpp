@@ -5,7 +5,7 @@
 //   magic   u32   "FBFW" — protocol marker
 //   type    u16   FrameType
 //   ext     u16   extension block byte length (0 = none; was reserved)
-//   shard   u32   routing context: which logical shard worker
+//   shard   u32   routing context: which logical node
 //   attempt u32   routing context: the driver's retry attempt (1-based)
 //   length  u32   payload byte count (bounded by kMaxFramePayloadBytes)
 //   check   u64   FNV-1a of ext block + payload, seeded by the header
@@ -43,14 +43,14 @@ inline constexpr std::size_t kFrameHeaderBytes = 28;
 inline constexpr std::size_t kMaxFrameExtensionBytes = 64;
 /// Extension tag: u64 telemetry trace id (value length 8).
 inline constexpr std::uint8_t kFrameExtTraceId = 0x01;
-/// A link request ships two partition slices of demographic records; even
-/// paper-scale runs are a few MB.  Anything above this bound is a corrupt
+/// A replica write ships one partition's record blob; even paper-scale
+/// runs are a few MB.  Anything above this bound is a corrupt
 /// or hostile length field, not a real message.
 inline constexpr std::uint32_t kMaxFramePayloadBytes = 1u << 26;
 
 enum class FrameType : std::uint16_t {
-  kLinkRequest = 1,  ///< partition slices to link (client -> server)
-  kLinkReply = 2,    ///< encoded ShardStats (server -> client)
+  kLinkRequest = 1,  ///< retired request type; number kept for the wire
+  kLinkReply = 2,    ///< success reply for requests without a dedicated one
   kError = 3,        ///< status code + message (server -> client)
   kPing = 4,         ///< liveness probe (client -> server)
   kPong = 5,         ///< liveness answer (server -> client)
@@ -71,9 +71,9 @@ enum class FrameType : std::uint16_t {
 
 [[nodiscard]] const char* frame_type_name(FrameType type) noexcept;
 
-/// The success reply type paired with a request type (kLinkRequest ->
-/// kLinkReply, kMatchQuery -> kMatchReply, ...).  Request types without a
-/// dedicated reply keep the historical kLinkReply framing.
+/// The success reply type paired with a request type (kMatchQuery ->
+/// kMatchReply, kIngest -> kIngestReply, ...).  Request types without a
+/// dedicated reply — the cluster frames included — use kLinkReply.
 [[nodiscard]] FrameType reply_frame_type(FrameType request) noexcept;
 
 /// Routing context carried by every frame, visible to the transport layer

@@ -1,10 +1,12 @@
-// Real loopback sockets for the sharded linkage: a shard server hosting N
-// logical shard workers behind one event loop, and a TcpTransport client
-// that speaks the frame protocol with per-request deadlines.
+// Real loopback sockets for the distributed driver and the match daemon:
+// a ShardServer hosting one request handler (every logical node of the
+// cluster, or the match service) behind one event loop, and a
+// TcpTransport client that speaks the frame protocol with per-request
+// deadlines.
 //
 // The server accepts on 127.0.0.1:<ephemeral>, reads request frames with
 // non-blocking I/O in a poll() event loop, and hands complete requests to
-// a small worker pool (the "logical shard workers") that runs the handler
+// a small worker pool that runs the handler
 // and writes the reply.  One request per connection: the client connects,
 // sends, awaits the reply, closes — connection setup is where injected
 // refusals live, so per-call connects keep every failure mode reachable.
@@ -41,7 +43,7 @@ struct ShardServerOptions {
   /// How long a kDeadlineExpiry fault stalls the reply.  Must exceed the
   /// client's deadline_ms for the fault to actually manifest.
   double injected_delay_ms = 750.0;
-  /// Logical shard workers draining decoded requests.
+  /// Worker threads draining decoded requests.
   std::size_t workers = 2;
 };
 

@@ -1,9 +1,10 @@
-// ShardTransport: how the sharded linkage driver reaches a shard worker.
+// ShardTransport: how a driver reaches a logical node.
 //
-// The driver (linkage::link_sharded) owns partitioning, retry/backoff and
-// degradation accounting; the transport owns *delivery*: hand a request
-// payload to the worker for (shard, attempt), return the reply payload or
-// a Status describing why the attempt failed.  Two implementations:
+// The driver (cluster::link_elastic, or the serve client) owns
+// partitioning, retry/backoff and degradation accounting; the transport
+// owns *delivery*: hand a request payload to the handler for (shard,
+// attempt), return the reply payload or a Status describing why the
+// attempt failed.  Two implementations:
 //
 //  * InProcessTransport — invokes the handler directly.  Deterministic
 //    reference: injected faults come straight from the FaultInjector
@@ -14,7 +15,7 @@
 //    garbled frame).
 //
 // Both route the same encoded payloads through the same handler, so a
-// run's counters (matches, retries, dropped shards) are transport-
+// run's counters (decisions, retries, dropped partitions) are transport-
 // independent — the equivalence property tests assert exactly that.
 #pragma once
 

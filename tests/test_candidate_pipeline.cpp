@@ -20,7 +20,6 @@
 #include "linkage/engine.hpp"
 #include "linkage/incremental.hpp"
 #include "linkage/person_gen.hpp"
-#include "linkage/sharded.hpp"
 #include "testenv.hpp"
 #include "util/rng.hpp"
 
@@ -410,7 +409,7 @@ TEST(EntityStoreEquivalence, RestoredStoreKeepsEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: the linkage engine and the sharded runner.
+// Layer 3: the linkage engine.
 // ---------------------------------------------------------------------------
 
 std::vector<lk::CandidatePair> sorted_pairs(std::vector<lk::CandidatePair> v) {
@@ -459,37 +458,6 @@ TEST(EngineEquivalence, ExhaustivePipelineMatchesScalar) {
   auto fallback = lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
   fallback.alpha_words = 3;
   expect_link_equivalence(fallback, 4, 209);
-}
-
-TEST(ShardedEquivalence, AllSchemesMatchScalarPath) {
-  Rng rng(88);
-  const auto left = lk::generate_people(150, rng);
-  const auto right = lk::make_error_records(left, {}, rng);
-  for (const auto scheme :
-       {lk::PartitionScheme::kReplicateRight, lk::PartitionScheme::kHashLastName,
-        lk::PartitionScheme::kHashSoundexLastName}) {
-    lk::ShardedConfig pipe;
-    pipe.n_shards = 4;
-    pipe.scheme = scheme;
-    pipe.link.comparator =
-        lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-    pipe.link.exec.use_pipeline = true;
-    lk::ShardedConfig scalar = pipe;
-    scalar.link.exec.use_pipeline = false;
-
-    const auto a = lk::link_sharded(left, right, pipe);
-    const auto b = lk::link_sharded(left, right, scalar);
-    ASSERT_EQ(a.shards.size(), b.shards.size());
-    EXPECT_EQ(a.total_pairs, b.total_pairs);
-    EXPECT_EQ(a.total_matches, b.total_matches);
-    EXPECT_EQ(a.total_true_positives, b.total_true_positives);
-    for (std::size_t s = 0; s < a.shards.size(); ++s) {
-      EXPECT_EQ(a.shards[s].pairs, b.shards[s].pairs) << "shard " << s;
-      EXPECT_EQ(a.shards[s].matches, b.shards[s].matches) << "shard " << s;
-      EXPECT_EQ(a.shards[s].true_positives, b.shards[s].true_positives)
-          << "shard " << s;
-    }
-  }
 }
 
 }  // namespace

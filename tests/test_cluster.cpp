@@ -263,7 +263,7 @@ TEST(Elastic, TransientNetFaultsKeepDecisions) {
   const Fixture fx(48);
   auto config = make_config();
   const auto reference = cl::link_elastic(fx.clean, fx.error, config);
-  lk::ShardFaultPolicy policy;
+  cl::ShardFaultPolicy policy;
   policy.faults.seed = 77;
   policy.faults.shard_fail_rate = 0.3;
   policy.retry.max_attempts = 6;
@@ -277,6 +277,102 @@ TEST(Elastic, TransientNetFaultsKeepDecisions) {
   const auto again = cl::link_elastic(fx.clean, fx.error, config);
   EXPECT_EQ(again.retries, result.retries) << "fault runs must replay exactly";
   EXPECT_DOUBLE_EQ(again.backoff_ms, result.backoff_ms);
+}
+
+TEST(Elastic, PermanentNodeFailureDropsExactlyItsPartitions) {
+  // R=1 and node 2 fails every attempt: its partitions have no other
+  // replica, so exactly those drop — the run completes, and the loss is
+  // reported as the dropped left records times the broadcast right list.
+  const Fixture fx(200);
+  auto config = make_config();
+  config.nodes = {0, 1, 2, 3};
+  config.replication = 1;
+  const auto baseline = cl::link_elastic(fx.clean, fx.error, config);
+  cl::ShardFaultPolicy policy;
+  policy.faults.fail_shard = 2;
+  policy.retry.max_attempts = 3;
+  config.fault = policy;
+  const auto result = cl::link_elastic(fx.clean, fx.error, config);
+
+  ASSERT_EQ(result.partitions.size(), baseline.partitions.size());
+  std::size_t lost_partitions = 0;
+  std::size_t lost_records = 0;
+  for (std::size_t i = 0; i < result.partitions.size(); ++i) {
+    const bool on_dead_node = baseline.partitions[i].served_by == 2;
+    EXPECT_EQ(result.partitions[i].completed, !on_dead_node)
+        << "partition " << i;
+    if (on_dead_node) {
+      ++lost_partitions;
+      lost_records += result.partitions[i].records;
+    } else {
+      EXPECT_EQ(result.partitions[i].served_by,
+                baseline.partitions[i].served_by);
+      EXPECT_EQ(result.partitions[i].matches, baseline.partitions[i].matches);
+    }
+  }
+  EXPECT_GT(lost_partitions, 0u);
+  EXPECT_LT(lost_partitions, result.partitions.size());
+  EXPECT_EQ(result.dropped_partitions, lost_partitions);
+  EXPECT_EQ(result.dropped_records, lost_records);
+  EXPECT_EQ(result.dropped_pairs,
+            static_cast<std::uint64_t>(lost_records) * fx.error.size());
+  EXPECT_EQ(result.total_pairs + result.dropped_pairs, baseline.total_pairs);
+  // Every write to the dead node burned its bounded attempts; no query
+  // was ever routed to it (it never became a holder).
+  EXPECT_EQ(result.retries, 3u * lost_partitions);
+  EXPECT_GT(result.backoff_ms, 0.0);
+  // Each left record has at most one true pair in the right list, so the
+  // true positives lost cannot exceed the dropped records.
+  EXPECT_LE(baseline.total_true_positives - result.total_true_positives,
+            lost_records);
+}
+
+TEST(Elastic, AllNodesFailingStillCompletes) {
+  // Worst case: every call to every node fails.  The run must return
+  // (zero results, full accounting) rather than crash or hang.
+  const Fixture fx(60);
+  auto config = make_config();
+  config.replication = 1;
+  cl::ShardFaultPolicy policy;
+  policy.faults.shard_fail_rate = 1.0;
+  policy.retry.max_attempts = 2;
+  config.fault = policy;
+  const auto result = cl::link_elastic(fx.clean, fx.error, config);
+  EXPECT_GT(result.partitions.size(), 1u);
+  EXPECT_EQ(result.dropped_partitions, result.partitions.size());
+  EXPECT_EQ(result.total_pairs, 0u);
+  EXPECT_EQ(result.total_true_positives, 0u);
+  EXPECT_EQ(result.dropped_records, fx.clean.size());
+  EXPECT_EQ(result.dropped_pairs,
+            static_cast<std::uint64_t>(fx.clean.size()) * fx.error.size());
+  EXPECT_EQ(result.write_acks, 0u);
+  // partitions x 2 bounded write attempts; no holder, so no query calls.
+  EXPECT_EQ(result.retries, 2u * result.partitions.size());
+}
+
+TEST(Elastic, PipelineMatchesScalarPathForEveryAffinityKey) {
+  // Each replica links its partition through the shared LinkageContext
+  // (pipeline) or pair by pair (scalar reference); the decisions must be
+  // identical under every placement.
+  u::Rng rng(88);
+  const auto left = lk::generate_people(150, rng);
+  const auto right = lk::make_error_records(left, {}, rng);
+  for (const auto key : {cl::AffinityKey::kRecordId, cl::AffinityKey::kLastName,
+                         cl::AffinityKey::kSoundexLastName}) {
+    auto pipe = make_config();
+    pipe.affinity = key;
+    pipe.link.exec.use_pipeline = true;
+    auto scalar = pipe;
+    scalar.link.exec.use_pipeline = false;
+    const auto a = cl::link_elastic(left, right, pipe);
+    const auto b = cl::link_elastic(left, right, scalar);
+    EXPECT_EQ(a.decision_fingerprint(), b.decision_fingerprint())
+        << cl::affinity_key_name(key);
+    EXPECT_EQ(a.total_matches, b.total_matches) << cl::affinity_key_name(key);
+    EXPECT_EQ(a.total_true_positives, b.total_true_positives)
+        << cl::affinity_key_name(key);
+    EXPECT_EQ(a.total_pairs, b.total_pairs) << cl::affinity_key_name(key);
+  }
 }
 
 TEST(Elastic, AffinityKeysAreAllLossless) {
@@ -376,6 +472,21 @@ TEST(ClusterProtocol, PayloadsRoundTrip) {
   EXPECT_FALSE(cl::decode_manifest("junk").ok());
 }
 
+TEST(ClusterProtocol, ShardReplyRoundTrips) {
+  cl::ShardReply reply;
+  reply.pairs = 1234;
+  reply.matches = 56;
+  reply.true_positives = 55;
+  reply.link_ms = 7.25;
+  const auto decoded = cl::decode_shard_reply(cl::encode_shard_reply(reply));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().pairs, 1234u);
+  EXPECT_EQ(decoded.value().matches, 56u);
+  EXPECT_EQ(decoded.value().true_positives, 55u);
+  EXPECT_DOUBLE_EQ(decoded.value().link_ms, 7.25);
+  EXPECT_FALSE(cl::decode_shard_reply("short").ok());
+}
+
 // --- the same cluster over real sockets ---------------------------------
 
 TEST(Elastic, TcpTransportProducesIdenticalDecisions) {
@@ -420,7 +531,7 @@ TEST(Elastic, TcpSurvivesKillAndRebalanceLikeInProcess) {
   // Keep real-time backoff sleeps tiny: the kill forces real retries.
   net::TcpTransport transport(client_opts);
   config.transport = &transport;
-  lk::ShardFaultPolicy policy;  // no injected faults, just small backoff
+  cl::ShardFaultPolicy policy;  // no injected faults, just small backoff
   policy.retry.backoff_base_ms = 0.25;
   config.fault = policy;
   const auto tcp = cl::link_elastic(fx.clean, fx.error, config, schedule);
@@ -495,8 +606,8 @@ TEST(ClusterService, StateMovesAndDropsThroughTheProtocol) {
                  cl::encode_replica_query({pid}));
   ASSERT_TRUE(q0.ok());
   ASSERT_TRUE(q1.ok());
-  const auto r0 = lk::decode_shard_reply(q0.value());
-  const auto r1 = lk::decode_shard_reply(q1.value());
+  const auto r0 = cl::decode_shard_reply(q0.value());
+  const auto r1 = cl::decode_shard_reply(q1.value());
   ASSERT_TRUE(r0.ok());
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r0.value().matches, r1.value().matches);

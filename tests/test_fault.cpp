@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "util/retry.hpp"
+
 namespace {
 
 using fbf::util::FaultConfig;
@@ -15,7 +17,6 @@ TEST(FaultInjector, DefaultConfigInjectsNothing) {
   for (std::size_t shard = 0; shard < 16; ++shard) {
     for (int attempt = 1; attempt <= 8; ++attempt) {
       EXPECT_FALSE(injector.shard_attempt_fails(shard, attempt));
-      EXPECT_FALSE(injector.shard_attempt_straggles(shard, attempt));
     }
   }
   EXPECT_FALSE(injector.corrupt_bytes(bytes, "snap", 0).has_value());
@@ -28,15 +29,12 @@ TEST(FaultInjector, DecisionsAreDeterministicAcrossInstances) {
   FaultConfig config;
   config.seed = 99;
   config.shard_fail_rate = 0.5;
-  config.shard_straggle_rate = 0.3;
   FaultInjector a(config);
   FaultInjector b(config);
   for (std::size_t shard = 0; shard < 32; ++shard) {
     for (int attempt = 1; attempt <= 4; ++attempt) {
       EXPECT_EQ(a.shard_attempt_fails(shard, attempt),
                 b.shard_attempt_fails(shard, attempt));
-      EXPECT_EQ(a.shard_attempt_straggles(shard, attempt),
-                b.shard_attempt_straggles(shard, attempt));
     }
   }
 }
@@ -104,15 +102,12 @@ TEST(FaultInjector, PureDecisionsMatchCountingOnes) {
   FaultConfig config;
   config.seed = 55;
   config.shard_fail_rate = 0.5;
-  config.shard_straggle_rate = 0.5;
   const FaultInjector pure(config);
   FaultInjector counting(config);
   for (std::size_t shard = 0; shard < 6; ++shard) {
     for (int attempt = 1; attempt <= 6; ++attempt) {
       EXPECT_EQ(pure.would_fail(shard, attempt),
                 counting.shard_attempt_fails(shard, attempt));
-      EXPECT_EQ(pure.would_straggle(shard, attempt),
-                counting.shard_attempt_straggles(shard, attempt));
     }
   }
 }
@@ -120,14 +115,11 @@ TEST(FaultInjector, PureDecisionsMatchCountingOnes) {
 TEST(FaultInjector, RateOneAlwaysFiresRateZeroNever) {
   FaultConfig always;
   always.shard_fail_rate = 1.0;
-  always.shard_straggle_rate = 1.0;
   FaultInjector on(always);
   for (std::size_t shard = 0; shard < 8; ++shard) {
     EXPECT_TRUE(on.shard_attempt_fails(shard, 1));
-    EXPECT_TRUE(on.shard_attempt_straggles(shard, 1));
   }
   EXPECT_EQ(on.counters().shard_failures, 8u);
-  EXPECT_EQ(on.counters().stragglers, 8u);
 }
 
 TEST(FaultInjector, PermanentShardFailsEveryAttempt) {
@@ -189,6 +181,36 @@ TEST(FaultInjector, RatesAreApproximatelyHonoured) {
   }
   const double rate = static_cast<double>(failures) / n;
   EXPECT_NEAR(rate, 0.25, 0.03);
+}
+
+TEST(RetryPolicy, FullJitterIsDeterministicAndBounded) {
+  fbf::util::RetryPolicy policy;
+  policy.backoff_base_ms = 4.0;
+  policy.backoff_multiplier = 2.0;
+  policy.full_jitter = true;
+  policy.jitter_seed = 9;
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    for (const std::uint64_t key : {0ull, 1ull, 7ull, 123456789ull}) {
+      const double d = policy.delay_ms(attempt, key);
+      EXPECT_EQ(d, policy.delay_ms(attempt, key)) << "same draw must replay";
+      EXPECT_GE(d, 0.0);
+      EXPECT_LT(d, policy.next_delay_ms(attempt))
+          << "jittered delay must stay under the nominal schedule";
+    }
+  }
+  // Different keys desynchronize: shards retrying after a common failure
+  // must not thunder back in lockstep.
+  bool any_differ = false;
+  for (std::uint64_t key = 1; key < 8 && !any_differ; ++key) {
+    any_differ = policy.delay_ms(3, key) != policy.delay_ms(3, 0);
+  }
+  EXPECT_TRUE(any_differ);
+  // Jitter off: delay_ms is exactly the legacy geometric schedule.
+  policy.full_jitter = false;
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    EXPECT_DOUBLE_EQ(policy.delay_ms(attempt, 42),
+                     policy.next_delay_ms(attempt));
+  }
 }
 
 }  // namespace

@@ -236,7 +236,7 @@ TEST(PackedTiledJoin, IdenticalToScalarScanEverywhere) {
             match_strings(dataset.clean, dataset.error, reference_join);
         for (const PopcountKind popcount :
              {PopcountKind::kWegner, PopcountKind::kHardware,
-              PopcountKind::kLut, PopcountKind::kBatched}) {
+              PopcountKind::kLut}) {
           for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
                                             std::size_t{7}}) {
             auto join = reference_join;

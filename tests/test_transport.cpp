@@ -1,26 +1,27 @@
-// Transport-layer tests: the shard link protocol codecs, the in-process
-// reference transport, the real TCP path (server event loop + frame
-// protocol + deadlines), each injected fault kind manifesting as a real
-// socket failure, and the headline property — link_sharded produces
-// identical counters over InProcessTransport and TcpTransport for the
-// same fault seed.
+// Transport-layer tests: the in-process reference transport, the real
+// TCP path (server event loop + frame protocol + deadlines), each
+// injected fault kind manifesting as a real socket failure, and the
+// headline property — link_elastic produces identical decisions and
+// counters over InProcessTransport and TcpTransport for the same fault
+// seed.
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "cluster/elastic.hpp"
+#include "cluster/service.hpp"
 #include "linkage/person_gen.hpp"
-#include "linkage/shard_service.hpp"
-#include "linkage/sharded.hpp"
 #include "net/tcp.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
-#include "util/wire.hpp"
 
 namespace {
 
+namespace cl = fbf::cluster;
 namespace lk = fbf::linkage;
 namespace net = fbf::net;
 namespace u = fbf::util;
@@ -29,72 +30,6 @@ net::ShardHandler echo_handler() {
   return [](const net::FrameContext&, std::string_view payload) {
     return u::Result<std::string>(std::string(payload));
   };
-}
-
-// --- link protocol codecs ----------------------------------------------
-
-TEST(ShardProtocol, LinkRequestRoundTrips) {
-  u::Rng rng(11);
-  const auto left = lk::generate_people(7, rng);
-  const auto right = lk::generate_people(5, rng);
-  const std::string payload = lk::encode_link_request(left, right, false);
-  const auto decoded = lk::decode_link_request(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  ASSERT_EQ(decoded.value().left.size(), left.size());
-  ASSERT_EQ(decoded.value().right.size(), right.size());
-  EXPECT_FALSE(decoded.value().broadcast_right);
-  for (std::size_t i = 0; i < left.size(); ++i) {
-    EXPECT_EQ(decoded.value().left[i].last_name, left[i].last_name);
-    EXPECT_EQ(decoded.value().left[i].id, left[i].id);
-  }
-}
-
-TEST(ShardProtocol, BroadcastRequestShipsNoRightRecords) {
-  u::Rng rng(12);
-  const auto left = lk::generate_people(4, rng);
-  const auto right = lk::generate_people(300, rng);
-  const std::string broadcast = lk::encode_link_request(left, right, true);
-  const std::string inline_right = lk::encode_link_request(left, right, false);
-  EXPECT_LT(broadcast.size(), inline_right.size() / 4)
-      << "broadcast flag should replace the right list, not ship it";
-  const auto decoded = lk::decode_link_request(broadcast);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded.value().broadcast_right);
-  EXPECT_TRUE(decoded.value().right.empty());
-}
-
-TEST(ShardProtocol, TruncatedRequestIsRejected) {
-  u::Rng rng(13);
-  const auto left = lk::generate_people(3, rng);
-  const std::string payload = lk::encode_link_request(left, {}, true);
-  for (const std::size_t len : {payload.size() - 1, payload.size() / 2,
-                                std::size_t{0}}) {
-    const auto decoded =
-        lk::decode_link_request(std::string_view(payload).substr(0, len));
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes";
-  }
-  const auto trailing = lk::decode_link_request(payload + "x");
-  EXPECT_FALSE(trailing.ok());
-  // A left count the payload cannot hold is refused before any reserve.
-  std::string inflated;
-  u::wire::put<std::uint8_t>(inflated, 0);
-  u::wire::put<std::uint64_t>(inflated, ~std::uint64_t{0});
-  EXPECT_FALSE(lk::decode_link_request(inflated).ok());
-}
-
-TEST(ShardProtocol, ShardReplyRoundTrips) {
-  lk::ShardReply reply;
-  reply.pairs = 1234;
-  reply.matches = 56;
-  reply.true_positives = 55;
-  reply.link_ms = 7.25;
-  const auto decoded = lk::decode_shard_reply(lk::encode_shard_reply(reply));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().pairs, 1234u);
-  EXPECT_EQ(decoded.value().matches, 56u);
-  EXPECT_EQ(decoded.value().true_positives, 55u);
-  EXPECT_DOUBLE_EQ(decoded.value().link_ms, 7.25);
-  EXPECT_FALSE(lk::decode_shard_reply("short").ok());
 }
 
 // --- in-process transport ----------------------------------------------
@@ -321,20 +256,29 @@ struct EquivalenceCase {
   const char* name;
   u::FaultConfig faults;
   bool with_fault_policy;
+  cl::AffinityKey affinity = cl::AffinityKey::kRecordId;
 };
 
-void expect_transport_equivalence(const EquivalenceCase& c) {
+// One elastic run per transport with R=1, so every injected failure that
+// exhausts its retries drops a partition instead of failing over.  The
+// fault decisions are keyed by (node, folded attempt), which rides the
+// frame, so the socket run must draw the identical failure schedule.
+// Returns the in-process run for case-specific assertions.
+cl::ElasticResult expect_transport_equivalence(const EquivalenceCase& c) {
   u::Rng rng(77);
   const auto left = lk::generate_people(60, rng);
   const auto right = lk::make_error_records(left, {}, rng);
 
-  lk::ShardedConfig config;
-  config.n_shards = 4;
-  config.scheme = lk::PartitionScheme::kReplicateRight;
+  cl::ElasticConfig config;
+  config.nodes = {0, 1, 2, 3};
+  config.replication = 1;
+  config.ring.seed = 7;
+  config.ring.vnodes_per_node = 4;
+  config.affinity = c.affinity;
   config.link.comparator =
       lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
   if (c.with_fault_policy) {
-    lk::ShardFaultPolicy policy;
+    cl::ShardFaultPolicy policy;
     policy.faults = c.faults;
     policy.retry.max_attempts = 3;
     policy.retry.backoff_base_ms = 0.25;  // real sleeps on TCP: keep tiny
@@ -342,13 +286,14 @@ void expect_transport_equivalence(const EquivalenceCase& c) {
   }
 
   // Reference run: driver-owned in-process transport.
-  const auto in_process = lk::link_sharded(left, right, config);
+  const auto in_process = cl::link_elastic(left, right, config);
 
   // Socket run: same seed, real frames, real failures.
-  lk::ShardLinkService service(config.link, right);
+  cl::ClusterService service(config.link, right);
   net::ShardServerOptions server_opts;
   server_opts.faults = c.faults;
   server_opts.injected_delay_ms = 300.0;
+  server_opts.workers = 4;  // stalled deadline faults must not queue retries
   net::ShardServer server(service.handler(), server_opts);
   net::TcpTransportOptions client_opts;
   client_opts.port = server.port();
@@ -356,90 +301,66 @@ void expect_transport_equivalence(const EquivalenceCase& c) {
   client_opts.deadline_ms = 120.0;
   net::TcpTransport transport(client_opts);
   config.transport = &transport;
-  const auto tcp = lk::link_sharded(left, right, config);
+  const auto tcp = cl::link_elastic(left, right, config);
 
-  EXPECT_EQ(tcp.total_pairs, in_process.total_pairs) << c.name;
+  EXPECT_EQ(tcp.decision_fingerprint(), in_process.decision_fingerprint())
+      << c.name;
   EXPECT_EQ(tcp.total_matches, in_process.total_matches) << c.name;
   EXPECT_EQ(tcp.total_true_positives, in_process.total_true_positives)
       << c.name;
   EXPECT_EQ(tcp.retries, in_process.retries) << c.name;
-  EXPECT_EQ(tcp.failed_shards, in_process.failed_shards) << c.name;
+  EXPECT_EQ(tcp.dropped_partitions, in_process.dropped_partitions) << c.name;
   EXPECT_EQ(tcp.dropped_pairs, in_process.dropped_pairs) << c.name;
-  EXPECT_EQ(tcp.dropped_shard_ids, in_process.dropped_shard_ids) << c.name;
-  ASSERT_EQ(tcp.shards.size(), in_process.shards.size()) << c.name;
-  for (std::size_t s = 0; s < tcp.shards.size(); ++s) {
-    EXPECT_EQ(tcp.shards[s].attempts, in_process.shards[s].attempts)
-        << c.name << " shard " << s;
-    EXPECT_EQ(tcp.shards[s].completed, in_process.shards[s].completed)
-        << c.name << " shard " << s;
-    EXPECT_EQ(tcp.shards[s].straggled, in_process.shards[s].straggled)
-        << c.name << " shard " << s;
-    EXPECT_EQ(tcp.shards[s].matches, in_process.shards[s].matches)
-        << c.name << " shard " << s;
-    EXPECT_DOUBLE_EQ(tcp.shards[s].backoff_ms, in_process.shards[s].backoff_ms)
-        << c.name << " shard " << s;
+  EXPECT_DOUBLE_EQ(tcp.backoff_ms, in_process.backoff_ms) << c.name;
+  EXPECT_EQ(tcp.partitions.size(), in_process.partitions.size()) << c.name;
+  const std::size_t compared =
+      std::min(tcp.partitions.size(), in_process.partitions.size());
+  for (std::size_t i = 0; i < compared; ++i) {
+    const auto& a = tcp.partitions[i];
+    const auto& b = in_process.partitions[i];
+    EXPECT_EQ(a.pid, b.pid) << c.name << " partition " << i;
+    EXPECT_EQ(a.completed, b.completed) << c.name << " partition " << i;
+    EXPECT_EQ(a.served_by, b.served_by) << c.name << " partition " << i;
+    EXPECT_EQ(a.matches, b.matches) << c.name << " partition " << i;
   }
+  return in_process;
 }
 
 TEST(TransportEquivalence, FaultFree) {
-  expect_transport_equivalence({"fault-free", {}, false});
+  const auto plain = expect_transport_equivalence({"fault-free", {}, false});
+  // An armed policy that injects nothing is the fault-free run.
+  const auto armed =
+      expect_transport_equivalence({"armed, all-zero", {}, true});
+  EXPECT_EQ(armed.decision_fingerprint(), plain.decision_fingerprint());
+  EXPECT_EQ(armed.retries, 0u);
+  EXPECT_EQ(armed.dropped_partitions, 0u);
 }
 
 TEST(TransportEquivalence, TransientFaults) {
   EquivalenceCase c{"transient", {}, true};
   c.faults.seed = 404;
   c.faults.shard_fail_rate = 0.4;  // all four kinds get drawn across runs
-  expect_transport_equivalence(c);
+  EXPECT_GT(expect_transport_equivalence(c).retries, 0u);
 }
 
 TEST(TransportEquivalence, PermanentShardFailure) {
-  EquivalenceCase c{"dead shard", {}, true};
+  EquivalenceCase c{"dead node", {}, true};
   c.faults.seed = 405;
   c.faults.fail_shard = 2;
-  expect_transport_equivalence(c);
-}
-
-TEST(TransportEquivalence, Stragglers) {
-  EquivalenceCase c{"stragglers", {}, true};
-  c.faults.seed = 406;
-  c.faults.shard_straggle_rate = 0.5;
-  expect_transport_equivalence(c);
+  const auto result = expect_transport_equivalence(c);
+  EXPECT_GT(result.dropped_partitions, 0u);
+  EXPECT_LT(result.dropped_partitions, result.partitions.size());
 }
 
 TEST(TransportEquivalence, HashPartitioningWithFaults) {
-  u::Rng rng(52);
-  const auto left = lk::generate_people(80, rng);
-  const auto right = lk::make_error_records(left, {}, rng);
-  lk::ShardedConfig config;
-  config.n_shards = 3;
-  config.scheme = lk::PartitionScheme::kHashLastName;
-  config.link.comparator =
-      lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-  lk::ShardFaultPolicy policy;
-  policy.faults.seed = 9;
-  policy.faults.shard_fail_rate = 0.3;
-  policy.retry.max_attempts = 2;
-  policy.retry.backoff_base_ms = 0.25;
-  config.fault = policy;
-  const auto in_process = lk::link_sharded(left, right, config);
-
-  lk::ShardLinkService service(config.link, right);
-  net::ShardServerOptions server_opts;
-  server_opts.faults = policy.faults;
-  server_opts.injected_delay_ms = 300.0;
-  net::ShardServer server(service.handler(), server_opts);
-  net::TcpTransportOptions client_opts;
-  client_opts.port = server.port();
-  client_opts.faults = policy.faults;
-  client_opts.deadline_ms = 120.0;
-  net::TcpTransport transport(client_opts);
-  config.transport = &transport;
-  const auto tcp = lk::link_sharded(left, right, config);
-
-  EXPECT_EQ(tcp.total_matches, in_process.total_matches);
-  EXPECT_EQ(tcp.total_true_positives, in_process.total_true_positives);
-  EXPECT_EQ(tcp.retries, in_process.retries);
-  EXPECT_EQ(tcp.failed_shards, in_process.failed_shards);
+  // Last-name affinity hashes a noisy key onto the ring: placement skews,
+  // recall does not move (the right list is broadcast), and the skewed
+  // placement still replays identically over sockets.
+  EquivalenceCase c{"last-name affinity", {}, true};
+  c.faults.seed = 9;
+  c.faults.shard_fail_rate = 0.3;
+  c.affinity = cl::AffinityKey::kLastName;
+  EXPECT_GT(expect_transport_equivalence(c).retries, 0u);
 }
 
 }  // namespace

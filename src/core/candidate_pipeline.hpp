@@ -179,10 +179,10 @@ class CandidatePipeline {
   /// filter_block with *per-query* counter attribution: query i's ladder
   /// lands in counters[i] (must have counters.size() == queries.size()),
   /// and each counters[i] is byte-identical to what a lone filter() call
-  /// for that query would have produced.  This is what lets a serving
-  /// coalescer batch Q concurrent point queries through one plane sweep
-  /// and still hand every client the exact counters its query would have
-  /// earned running alone — batching stays invisible to the reply.
+  /// for that query would have produced.  This is what lets
+  /// MatchCorpus::query_batch answer Q point queries through one plane
+  /// sweep and still report the exact counters each query would have
+  /// earned running alone.
   std::size_t filter_block(std::span<const Query> queries, std::size_t begin,
                            std::size_t end, const std::uint64_t* eligible,
                            std::uint64_t* bitmaps, std::size_t bitmap_stride,

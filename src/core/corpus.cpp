@@ -18,9 +18,6 @@ constexpr std::size_t kTileWords = CandidatePipeline::bitmap_words(kCorpusTile);
 MatchCorpus::MatchCorpus(const QueryOptions& options,
                          std::span<const std::string> values)
     : options_(options), pipeline_(make_pipeline_config(options)) {
-  if (options_.exec.threads > 1) {
-    pool_ = std::make_unique<fbf::util::ThreadPool>(options_.exec.threads);
-  }
   append(values);
 }
 
@@ -52,36 +49,6 @@ CorpusResult MatchCorpus::query(std::string_view query) const {
 std::vector<CorpusResult> MatchCorpus::query_batch(
     std::span<const std::string> queries) const {
   std::vector<CorpusResult> results(queries.size());
-  const std::size_t workers =
-      pool_ ? std::min(pool_->size(), queries.size()) : 1;
-  if (workers <= 1) {
-    query_block_range(queries, 0, queries.size(), results.data());
-    return results;
-  }
-  // Parallel path: contiguous query chunks, one per worker.  Each chunk
-  // runs the same register-block sweep it would run alone, so the
-  // partition cannot change any query's matches or counters — it only
-  // lets a coalesced batch use more than one core, which a lone query()
-  // cannot (the coalescing payoff bench_serve_latency measures).
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  const std::size_t chunk = queries.size() / workers;
-  const std::size_t extra = queries.size() % workers;
-  std::size_t base = 0;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t count = chunk + (w < extra ? 1 : 0);
-    pool_->submit([this, queries, base, count, out = results.data()] {
-      query_block_range(queries, base, count, out);
-    });
-    base += count;
-  }
-  pool_->wait_idle();
-  return results;
-}
-
-void MatchCorpus::query_block_range(std::span<const std::string> queries,
-                                    std::size_t range_base,
-                                    std::size_t range_count,
-                                    CorpusResult* results) const {
   std::vector<CandidatePipeline::Query> block;
   std::vector<PipelineCounters> block_counters;
   std::vector<std::uint64_t> bitmaps;
@@ -89,11 +56,11 @@ void MatchCorpus::query_block_range(std::span<const std::string> queries,
   // planes tile by tile through one filter_block call per tile, then each
   // query drains its own bitmap row.  Per-query counters come from the
   // attributing filter_block overload, so results[i] is byte-identical to
-  // query(queries[i]) run alone (the serving coalescer's contract).
-  for (std::size_t base = range_base; base < range_base + range_count;
+  // query(queries[i]) run alone.
+  for (std::size_t base = 0; base < queries.size();
        base += kMaxBlockQueries) {
     const std::size_t q_count =
-        std::min(range_base + range_count - base, kMaxBlockQueries);
+        std::min(queries.size() - base, kMaxBlockQueries);
     block.clear();
     for (std::size_t i = 0; i < q_count; ++i) {
       block.push_back(pipeline_.make_query(queries[base + i]));
@@ -124,6 +91,7 @@ void MatchCorpus::query_block_range(std::span<const std::string> queries,
       results[base + i].counters = block_counters[i];
     }
   }
+  return results;
 }
 
 }  // namespace fbf::core

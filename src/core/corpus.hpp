@@ -3,35 +3,28 @@
 // The join entry points answer "match list S against list T"; a serving
 // daemon answers millions of independent "match THIS string against the
 // corpus" requests.  MatchCorpus owns the corpus-side pipeline state
-// (packed SoA planes via CandidatePipeline) and exposes exactly the two
-// shapes a server produces:
+// (packed SoA planes via CandidatePipeline) and exposes two query
+// shapes:
 //
 //   query(s)        -> one point lookup (ids + per-query ladder counters)
-//   query_batch(qs) -> Q coalesced lookups through ONE plane sweep per
-//                      tile (filter_block, Q <= kMaxBlockQueries per
-//                      register block) with per-query counter attribution
+//   query_batch(qs) -> Q lookups through ONE plane sweep per tile
+//                      (filter_block, Q <= kMaxBlockQueries per register
+//                      block) with per-query counter attribution
 //
-// The batching contract is the whole point: query_batch's per-query
-// results AND counters are byte-identical to calling query() once per
-// string — the serving coalescer can merge concurrent requests into Q=8
-// kernel batches without any client being able to tell (property-tested
-// in test_serve.cpp).  Candidate generation is always the dense tile
-// sweep here: generator selection is a batch-join optimization, and
-// keeping the corpus on one generation path is what makes the
-// batched/sequential equivalence unconditional.
+// query_batch's per-query results AND counters are byte-identical to
+// calling query() once per string (property-tested in test_serve.cpp).
+// Candidate generation is always the dense tile sweep here: generator
+// selection is a batch-join optimization, and keeping the corpus on one
+// generation path is what makes the batched/sequential equivalence
+// unconditional.
 //
-// When options.exec.threads > 1, query_batch additionally fans the
-// batch's queries across a persistent worker pool — a batch is the
-// parallelizable unit a lone query() is not, which is where coalescing
-// buys saturation throughput (bench_serve_latency).  Per-query results
-// are computed independently, so the partition cannot change them and
-// the exec-policy invariance contract (exec_policy.hpp) holds bit for
-// bit.
+// Both query shapes are const and keep no shared scratch, so any number
+// of threads may query one corpus at once; append() must not run
+// concurrently with them.  exec.threads only parallelizes the plane
+// build inside append().
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -39,7 +32,6 @@
 
 #include "core/candidate_pipeline.hpp"
 #include "core/query_options.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fbf::core {
 
@@ -75,29 +67,17 @@ class MatchCorpus {
   /// predicate, plus the full ladder counters the lookup earned.
   [[nodiscard]] CorpusResult query(std::string_view query) const;
 
-  /// Coalesced lookups: all queries sweep each corpus tile in one
+  /// Batched lookups: all queries sweep each corpus tile in one
   /// filter_block call (Q <= kMaxBlockQueries per register block).
   /// result[i] — matches and counters — is byte-identical to
-  /// query(queries[i]) run alone.  With exec.threads > 1 the queries are
-  /// partitioned across the worker pool (same results, bit for bit);
-  /// concurrent query_batch calls on one corpus then serialize on the
-  /// pool, so keep one batching caller per corpus (the coalescer does).
+  /// query(queries[i]) run alone.
   [[nodiscard]] std::vector<CorpusResult> query_batch(
       std::span<const std::string> queries) const;
 
  private:
-  /// Runs queries [base, base + count) through the register-block tile
-  /// sweep, writing results[base + i].  The serial path is one call over
-  /// the whole batch; the parallel path is one call per worker chunk.
-  void query_block_range(std::span<const std::string> queries,
-                         std::size_t base, std::size_t count,
-                         CorpusResult* results) const;
-
   QueryOptions options_;
   CandidatePipeline pipeline_;
   std::vector<std::string> values_;
-  std::unique_ptr<fbf::util::ThreadPool> pool_;  ///< exec.threads > 1 only
-  mutable std::mutex batch_mu_;  ///< serializes parallel query_batch calls
 };
 
 }  // namespace fbf::core

@@ -25,6 +25,14 @@ bool get_record(w::Reader& in, PersonRecord& r) {
   return true;
 }
 
+std::size_t record_size(const PersonRecord& r) {
+  std::size_t bytes = sizeof(std::uint64_t);
+  for (const RecordField f : all_record_fields()) {
+    bytes += sizeof(std::uint32_t) + r.field(f).size();
+  }
+  return bytes;
+}
+
 void put_signatures(std::string& out, const RecordSignatures& sigs) {
   for (const fbf::core::Signature& sig : sigs.sigs) {
     w::put<std::uint8_t>(out, static_cast<std::uint8_t>(sig.size()));
@@ -32,6 +40,14 @@ void put_signatures(std::string& out, const RecordSignatures& sigs) {
       w::put<std::uint32_t>(out, word);
     }
   }
+}
+
+std::size_t signatures_size(const RecordSignatures& sigs) {
+  std::size_t bytes = 0;
+  for (const fbf::core::Signature& sig : sigs.sigs) {
+    bytes += sizeof(std::uint8_t) + sig.size() * sizeof(std::uint32_t);
+  }
+  return bytes;
 }
 
 bool get_signatures(w::Reader& in, RecordSignatures& sigs) {

@@ -21,9 +21,14 @@ inline constexpr std::size_t kMinRecordBytes =
 
 void put_record(std::string& out, const PersonRecord& r);
 [[nodiscard]] bool get_record(fbf::util::wire::Reader& in, PersonRecord& r);
+/// Bytes put_record(out, r) appends, so an encoder can size its buffer
+/// once.
+[[nodiscard]] std::size_t record_size(const PersonRecord& r);
 
 void put_signatures(std::string& out, const RecordSignatures& sigs);
 [[nodiscard]] bool get_signatures(fbf::util::wire::Reader& in,
                                   RecordSignatures& sigs);
+/// Bytes put_signatures(out, sigs) appends.
+[[nodiscard]] std::size_t signatures_size(const RecordSignatures& sigs);
 
 }  // namespace fbf::linkage::wire

@@ -45,17 +45,22 @@ double steady_ms() {
       .count();
 }
 
-/// 28-byte envelope shared by snapshot/delta/manifest blobs: magic,
-/// version, payload size, payload checksum.  One writer, one reader — a
-/// blob kind can never disagree with itself about layout.
+/// Envelope shared by snapshot/delta/manifest blobs: magic, version,
+/// payload size, payload checksum.  One writer, one reader — a blob kind
+/// can never disagree with itself about layout.
+constexpr std::size_t kEnvelopeBytes = sizeof(std::uint64_t) +
+                                       sizeof(std::uint32_t) +
+                                       2 * sizeof(std::uint64_t);
+
 std::string seal_envelope(std::uint64_t magic, std::uint32_t version,
-                          std::string payload) {
+                          std::string_view payload) {
   std::string blob;
+  blob.reserve(kEnvelopeBytes + payload.size());
   put<std::uint64_t>(blob, magic);
   put<std::uint32_t>(blob, version);
   put<std::uint64_t>(blob, payload.size());
   put<std::uint64_t>(blob, u::fnv1a64(payload));
-  blob += payload;
+  blob.append(payload);
   return blob;
 }
 
@@ -67,11 +72,11 @@ u::Result<std::string_view> open_envelope(std::string_view bytes,
                                           std::uint32_t version,
                                           const char* what) {
   const std::string kind(what);
-  if (bytes.size() < 28) {
+  if (bytes.size() < kEnvelopeBytes) {
     return u::Status::data_loss(kind + " header truncated at byte " +
                                 std::to_string(bytes.size()));
   }
-  Reader h{bytes.substr(0, 28)};
+  Reader h{bytes.substr(0, kEnvelopeBytes)};
   std::uint64_t got_magic = 0;
   std::uint32_t got_version = 0;
   std::uint64_t payload_size = 0;
@@ -90,15 +95,16 @@ u::Result<std::string_view> open_envelope(std::string_view bytes,
   if (payload_size > kMaxPayloadBytes) {
     return u::Status::data_loss("implausible " + kind + " payload size");
   }
-  if (bytes.size() - 28 < payload_size) {
-    return u::Status::data_loss(kind + " payload truncated: " +
-                                std::to_string(bytes.size() - 28) + " of " +
-                                std::to_string(payload_size) + " bytes");
+  if (bytes.size() - kEnvelopeBytes < payload_size) {
+    return u::Status::data_loss(
+        kind + " payload truncated: " +
+        std::to_string(bytes.size() - kEnvelopeBytes) + " of " +
+        std::to_string(payload_size) + " bytes");
   }
-  if (bytes.size() - 28 > payload_size) {
+  if (bytes.size() - kEnvelopeBytes > payload_size) {
     return u::Status::data_loss(kind + " has trailing bytes");
   }
-  const std::string_view payload = bytes.substr(28, payload_size);
+  const std::string_view payload = bytes.substr(kEnvelopeBytes, payload_size);
   if (u::fnv1a64(payload) != checksum) {
     return u::Status::data_loss(kind + " checksum mismatch");
   }
@@ -114,6 +120,99 @@ std::string encode_batch(std::span<const PersonRecord> batch) {
   return payload;
 }
 
+/// Bytes put_store_records appends for records [from, store.size()).
+std::size_t store_records_size(const EntityStore& store, std::size_t from,
+                               bool has_sigs) {
+  std::size_t bytes = 0;
+  for (std::size_t i = from; i < store.size(); ++i) {
+    bytes += wire::record_size(store.records()[i]) + sizeof(std::uint32_t);
+    if (has_sigs) {
+      bytes += wire::signatures_size(store.signatures()[i]);
+    }
+  }
+  return bytes;
+}
+
+/// The record body shared by base snapshots and delta segments: each
+/// record, its entity id and (when kept) its signatures.
+void put_store_records(std::string& out, const EntityStore& store,
+                       std::size_t from, bool has_sigs) {
+  for (std::size_t i = from; i < store.size(); ++i) {
+    put_record(out, store.records()[i]);
+    put<std::uint32_t>(out, store.entity_ids()[i]);
+    if (has_sigs) {
+      put_signatures(out, store.signatures()[i]);
+    }
+  }
+}
+
+/// A base snapshot's payload header.
+struct SnapshotHeader {
+  std::uint64_t batches_ingested = 0;
+  std::uint32_t entity_total = 0;
+  bool has_sigs = false;
+  std::uint64_t records = 0;
+};
+constexpr std::size_t kSnapshotHeaderBytes =
+    sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(std::uint8_t) +
+    sizeof(std::uint64_t);
+/// from_batches, to_batches, from_record, entity_total, has_sigs, count.
+constexpr std::size_t kDeltaHeaderBytes =
+    3 * sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(std::uint8_t) +
+    sizeof(std::uint64_t);
+
+/// The one base-snapshot parser, behind decode_snapshot, recovery and
+/// verify_snapshot.  Opens the envelope, hands the header to
+/// `start(header)`, then parses the records in order into buffers it
+/// reuses, handing each to `visit(record, entity, sigs)` (`sigs` is
+/// unset when the base keeps none; visit may move out of both).
+/// kDataLoss on exactly what a load rejects: a bad envelope or checksum,
+/// a malformed header, record or signature block, an entity id >= the
+/// entity total, and trailing bytes.
+template <typename Start, typename Visit>
+u::Result<SnapshotHeader> parse_snapshot(std::string_view bytes,
+                                         Start&& start, Visit&& visit) {
+  auto payload =
+      open_envelope(bytes, kSnapshotMagic, kSnapshotVersion, "snapshot");
+  if (!payload.ok()) {
+    return payload.status();
+  }
+  Reader r{payload.value()};
+  SnapshotHeader header;
+  std::uint8_t has_sigs = 0;
+  if (!r.get(header.batches_ingested) || !r.get(header.entity_total) ||
+      !r.get(has_sigs) ||
+      !r.get_count(header.records, wire::kMinRecordBytes)) {
+    return u::Status::data_loss("snapshot payload header malformed");
+  }
+  header.has_sigs = has_sigs != 0;
+  start(header);
+  PersonRecord rec;
+  RecordSignatures sigs;
+  for (std::uint64_t i = 0; i < header.records; ++i) {
+    std::uint32_t entity = 0;
+    if (!get_record(r, rec) || !r.get(entity)) {
+      return u::Status::data_loss("snapshot record " + std::to_string(i) +
+                                  " malformed");
+    }
+    if (entity >= header.entity_total) {
+      return u::Status::data_loss(
+          "snapshot record " + std::to_string(i) + " names entity " +
+          std::to_string(entity) + " >= entity total " +
+          std::to_string(header.entity_total));
+    }
+    if (header.has_sigs && !get_signatures(r, sigs)) {
+      return u::Status::data_loss("snapshot signatures " + std::to_string(i) +
+                                  " malformed");
+    }
+    visit(rec, entity, sigs);
+  }
+  if (!r.done()) {
+    return u::Status::data_loss("snapshot payload has trailing bytes");
+  }
+  return header;
+}
+
 /// The decoded pieces of a base snapshot, before they become a store.
 struct SnapshotParts {
   std::uint64_t batches_ingested = 0;
@@ -124,42 +223,30 @@ struct SnapshotParts {
 };
 
 u::Result<SnapshotParts> decode_snapshot_parts(std::string_view bytes) {
-  auto payload =
-      open_envelope(bytes, kSnapshotMagic, kSnapshotVersion, "snapshot");
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  Reader r{payload.value()};
   SnapshotParts parts;
-  std::uint8_t has_sigs = 0;
-  std::uint64_t n_records = 0;
-  if (!r.get(parts.batches_ingested) || !r.get(parts.entity_total) ||
-      !r.get(has_sigs) || !r.get_count(n_records, wire::kMinRecordBytes)) {
-    return u::Status::data_loss("snapshot payload header malformed");
+  bool has_sigs = false;
+  auto header = parse_snapshot(
+      bytes,
+      [&](const SnapshotHeader& h) {
+        has_sigs = h.has_sigs;
+        parts.records.reserve(static_cast<std::size_t>(h.records));
+        parts.entity_ids.reserve(static_cast<std::size_t>(h.records));
+        if (has_sigs) {
+          parts.signatures.reserve(static_cast<std::size_t>(h.records));
+        }
+      },
+      [&](PersonRecord& rec, std::uint32_t entity, RecordSignatures& sigs) {
+        parts.records.push_back(std::move(rec));
+        parts.entity_ids.push_back(entity);
+        if (has_sigs) {
+          parts.signatures.push_back(sigs);
+        }
+      });
+  if (!header.ok()) {
+    return header.status();
   }
-  parts.records.reserve(static_cast<std::size_t>(n_records));
-  parts.entity_ids.reserve(static_cast<std::size_t>(n_records));
-  for (std::uint64_t i = 0; i < n_records; ++i) {
-    PersonRecord rec;
-    std::uint32_t entity = 0;
-    if (!get_record(r, rec) || !r.get(entity)) {
-      return u::Status::data_loss("snapshot record " + std::to_string(i) +
-                                  " malformed");
-    }
-    parts.records.push_back(std::move(rec));
-    parts.entity_ids.push_back(entity);
-    if (has_sigs != 0) {
-      RecordSignatures sigs;
-      if (!get_signatures(r, sigs)) {
-        return u::Status::data_loss("snapshot signatures " +
-                                    std::to_string(i) + " malformed");
-      }
-      parts.signatures.push_back(sigs);
-    }
-  }
-  if (!r.done()) {
-    return u::Status::data_loss("snapshot payload has trailing bytes");
-  }
+  parts.batches_ingested = header->batches_ingested;
+  parts.entity_total = header->entity_total;
   return parts;
 }
 
@@ -172,18 +259,14 @@ std::string encode_snapshot(const EntityStore& store,
   const bool has_sigs =
       store.uses_fbf() && store.signatures().size() == store.records().size();
   std::string payload;
+  payload.reserve(kSnapshotHeaderBytes +
+                  store_records_size(store, 0, has_sigs));
   put<std::uint64_t>(payload, batches_ingested);
   put<std::uint32_t>(payload, static_cast<std::uint32_t>(store.entity_count()));
   put<std::uint8_t>(payload, has_sigs ? 1 : 0);
   put<std::uint64_t>(payload, store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    put_record(payload, store.records()[i]);
-    put<std::uint32_t>(payload, store.entity_ids()[i]);
-    if (has_sigs) {
-      put_signatures(payload, store.signatures()[i]);
-    }
-  }
-  return seal_envelope(kSnapshotMagic, kSnapshotVersion, std::move(payload));
+  put_store_records(payload, store, 0, has_sigs);
+  return seal_envelope(kSnapshotMagic, kSnapshotVersion, payload);
 }
 
 u::Result<std::uint64_t> decode_snapshot(std::string_view bytes,
@@ -202,6 +285,16 @@ u::Result<std::uint64_t> decode_snapshot(std::string_view bytes,
   return parts->batches_ingested;
 }
 
+u::Result<std::uint64_t> verify_snapshot(std::string_view bytes) {
+  auto header = parse_snapshot(
+      bytes, [](const SnapshotHeader&) {},
+      [](PersonRecord&, std::uint32_t, RecordSignatures&) {});
+  if (!header.ok()) {
+    return header.status();
+  }
+  return header->batches_ingested;
+}
+
 // --- delta segments ----------------------------------------------------
 
 std::string encode_delta(const EntityStore& store, std::size_t from_record,
@@ -211,20 +304,16 @@ std::string encode_delta(const EntityStore& store, std::size_t from_record,
       store.uses_fbf() && store.signatures().size() == store.records().size();
   const std::size_t n = store.size() - from_record;
   std::string payload;
+  payload.reserve(kDeltaHeaderBytes +
+                  store_records_size(store, from_record, has_sigs));
   put<std::uint64_t>(payload, from_batches);
   put<std::uint64_t>(payload, to_batches);
   put<std::uint64_t>(payload, from_record);
   put<std::uint32_t>(payload, static_cast<std::uint32_t>(store.entity_count()));
   put<std::uint8_t>(payload, has_sigs ? 1 : 0);
   put<std::uint64_t>(payload, n);
-  for (std::size_t i = from_record; i < store.size(); ++i) {
-    put_record(payload, store.records()[i]);
-    put<std::uint32_t>(payload, store.entity_ids()[i]);
-    if (has_sigs) {
-      put_signatures(payload, store.signatures()[i]);
-    }
-  }
-  return seal_envelope(kDeltaMagic, kDeltaVersion, std::move(payload));
+  put_store_records(payload, store, from_record, has_sigs);
+  return seal_envelope(kDeltaMagic, kDeltaVersion, payload);
 }
 
 u::Result<DeltaSegment> decode_delta(std::string_view bytes) {
@@ -283,7 +372,7 @@ std::string encode_manifest(const SnapshotManifest& manifest) {
     put<std::uint64_t>(payload, seg.from_record);
     put<std::uint64_t>(payload, seg.to_record);
   }
-  return seal_envelope(kManifestMagic, kManifestVersion, std::move(payload));
+  return seal_envelope(kManifestMagic, kManifestVersion, payload);
 }
 
 u::Result<SnapshotManifest> decode_manifest(std::string_view bytes) {
@@ -591,8 +680,7 @@ u::Status DurableEntityStore::checkpoint() {
     if (!landed.ok()) {
       verified = landed.status();
     } else if (full) {
-      EntityStore scratch(comparator_);
-      verified = decode_snapshot(landed.value(), scratch).status();
+      verified = verify_snapshot(landed.value()).status();
     } else {
       verified = decode_delta(landed.value()).status();
     }

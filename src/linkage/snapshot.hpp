@@ -74,6 +74,14 @@ inline constexpr std::uint32_t kManifestVersion = 1;
 [[nodiscard]] fbf::util::Result<std::uint64_t> decode_snapshot(
     std::string_view bytes, EntityStore& store);
 
+/// Accepts exactly the snapshots decode_snapshot loads — same envelope,
+/// structure and entity-id checks, through the same parser — without
+/// building a store: the walk reuses one record's buffers, so checking a
+/// multi-megabyte base allocates next to nothing.  Returns the
+/// snapshot's batches_ingested position.
+[[nodiscard]] fbf::util::Result<std::uint64_t> verify_snapshot(
+    std::string_view bytes);
+
 /// One incremental checkpoint segment: the records appended while
 /// batches [from_batches, to_batches) ran, plus the entity total after
 /// them.  Applies on top of a store holding exactly `from_record`

@@ -146,11 +146,6 @@ int main(int argc, char** argv) {
   const std::string field_name = args.get_string("field", "ln");
   const std::size_t workers =
       static_cast<std::size_t>(args.get_int("workers", 2));
-  const double linger_ms = args.get_double("linger-ms", 0.25);
-  const std::size_t max_batch =
-      static_cast<std::size_t>(args.get_int("max-batch", 8));
-  const std::size_t batch_threads =
-      static_cast<std::size_t>(args.get_int("batch-threads", 1));
   const std::size_t inflight =
       static_cast<std::size_t>(args.get_int("inflight", 64));
   const std::string data_dir = args.get_string("data-dir", "");
@@ -167,12 +162,6 @@ int main(int argc, char** argv) {
   const fbf::datagen::FieldKind field = parse_field(field_name);
   fbf::serve::ServiceOptions options;
   options.query.field_class = fbf::datagen::field_class_of(field);
-  // >1 fans each coalesced batch across a worker pool (corpus.hpp);
-  // results are exec-policy invariant, only saturation throughput moves.
-  options.query.exec.threads = batch_threads;
-  options.coalescer.max_linger_ms = linger_ms;
-  options.coalescer.max_batch = max_batch;
-  options.coalescer.max_inflight = inflight;
   options.max_inflight = inflight;
 
   std::shared_ptr<fbf::storage::StorageBackend> backend;
@@ -212,7 +201,6 @@ int main(int argc, char** argv) {
         std::make_shared<fbf::net::TcpTransport>(transport_options));
     const int rc = run_smoke(client, corpus, json);
     server.stop();
-    service.stop();
     return rc;
   }
 
@@ -246,6 +234,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "shutting down\n";
   server.stop();
-  service.stop();
   return 0;
 }

@@ -32,9 +32,9 @@
 
 namespace fbf {
 
-/// One point lookup.  kString matches `text` against the string corpus
-/// through the coalescing batch path; kRecord probes `record` against the
-/// entity store through the comparator.
+/// One point lookup.  kString matches `text` against the string corpus;
+/// kRecord probes `record` against the entity store through the
+/// comparator.
 struct MatchRequest {
   enum class Kind : std::uint8_t { kString = 1, kRecord = 2 };
   Kind kind = Kind::kString;
@@ -45,8 +45,7 @@ struct MatchRequest {
 };
 
 /// A point lookup's answer, with the same ladder accounting the batch
-/// tools report — coalescing is invisible here: the counters are exactly
-/// what this query would have earned running alone.
+/// tools report.
 struct MatchResponse {
   struct Match {
     std::uint32_t id = 0;      ///< corpus id (kString) / record index (kRecord)

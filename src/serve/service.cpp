@@ -40,22 +40,7 @@ MatchService::MatchService(ServiceOptions options,
                registry_.counter("quarantine.repaired.shifted_column"),
                registry_.histogram("serve.query"),
                registry_.histogram("serve.ingest"),
-               registry_.histogram("serve.admin")} {
-  coalescer_.emplace(
-      [this](std::span<const std::string> queries) {
-        std::lock_guard<std::mutex> lock(corpus_mu_);
-        return corpus_.query_batch(queries);
-      },
-      options_.coalescer);
-}
-
-MatchService::~MatchService() { stop(); }
-
-void MatchService::stop() {
-  if (coalescer_.has_value()) {
-    coalescer_->stop();
-  }
-}
+               registry_.histogram("serve.admin")} {}
 
 void MatchService::simulate_crash() {
   std::lock_guard<std::mutex> lock(store_mu_);
@@ -68,7 +53,7 @@ u::Result<linkage::RecoveryReport> MatchService::recover() {
 }
 
 void MatchService::index_strings(std::span<const std::string> values) {
-  std::lock_guard<std::mutex> lock(corpus_mu_);
+  const std::unique_lock<std::shared_mutex> lock(corpus_mu_);
   corpus_.append(values);
 }
 
@@ -89,7 +74,7 @@ u::Result<std::string> MatchService::handle(const net::FrameContext& ctx,
     return std::string{};
   }
   // Install the request's trace for everything below — layers with no
-  // trace parameter of their own (the coalescer) read it back via
+  // trace parameter of their own read it back via
   // telemetry::current_trace().
   const telemetry::ScopedTrace scoped(ctx.trace);
   telemetry::Histogram* family = nullptr;
@@ -139,35 +124,27 @@ u::Result<std::string> MatchService::handle_match(std::string_view payload) {
   if (!req.ok()) {
     return req.status();
   }
-  MatchResponse resp;
-  if (req->kind == MatchRequest::Kind::kString) {
-    u::Result<core::CorpusResult> result = coalescer_->submit(req->text);
-    if (!result.ok()) {
-      if (result.status().code() == u::StatusCode::kResourceExhausted) {
-        metrics_.overloaded.increment();
-      }
-      return result.status();
-    }
-    resp = match_string(*req, std::move(result.value()));
-  } else {
-    resp = match_record(*req);
-  }
+  const MatchResponse resp = req->kind == MatchRequest::Kind::kString
+                                 ? match_string(*req)
+                                 : match_record(*req);
   metrics_.queries.increment();
   return encode_match_response(resp);
 }
 
-MatchResponse MatchService::match_string(const MatchRequest& req,
-                                         core::CorpusResult result) const {
-  MatchResponse resp;
-  resp.counters = result.counters;
+MatchResponse MatchService::match_string(const MatchRequest& req) const {
   std::uint32_t limit = options_.max_matches_limit;
   if (req.max_matches != 0) {
     limit = std::min(limit, req.max_matches);
   }
+  // One shared acquisition covers the sweep and the value copies, so an
+  // append can never land between the ids and the strings they name.
+  const std::shared_lock<std::shared_mutex> lock(corpus_mu_);
+  core::CorpusResult result = corpus_.query(req.text);
   if (result.matches.size() > limit) {
     result.matches.resize(limit);
   }
-  std::lock_guard<std::mutex> lock(corpus_mu_);
+  MatchResponse resp;
+  resp.counters = result.counters;
   resp.comparisons = corpus_.size();
   resp.matches.reserve(result.matches.size());
   for (const std::uint32_t id : result.matches) {
@@ -311,23 +288,10 @@ telemetry::MetricsSnapshot MatchService::metrics_snapshot() const {
   }
   std::string kernel;
   {
-    std::lock_guard<std::mutex> lock(corpus_mu_);
+    const std::shared_lock<std::shared_mutex> lock(corpus_mu_);
     registry_.gauge("serve.corpus_size")
         .set(static_cast<std::int64_t>(corpus_.size()));
     kernel = corpus_.kernel_name();
-  }
-  if (coalescer_.has_value()) {
-    const CoalescerStats cs = coalescer_->stats();
-    registry_.gauge("serve.batch.batches")
-        .set(static_cast<std::int64_t>(cs.batches));
-    registry_.gauge("serve.batch.queries")
-        .set(static_cast<std::int64_t>(cs.queries));
-    registry_.gauge("serve.batch.coalesced")
-        .set(static_cast<std::int64_t>(cs.coalesced));
-    registry_.gauge("serve.batch.rejected")
-        .set(static_cast<std::int64_t>(cs.rejected));
-    registry_.gauge("serve.batch.max")
-        .set(static_cast<std::int64_t>(cs.max_batch));
   }
   telemetry::MetricsSnapshot snap = telemetry::capture(registry_);
   snap.info.emplace_back("serve.kernel", std::move(kernel));

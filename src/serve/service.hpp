@@ -2,14 +2,14 @@
 // (DESIGN.md §15).
 //
 // One MatchService instance owns the serving state — an indexed string
-// corpus (core::MatchCorpus) behind a BatchCoalescer, a durable entity
-// store (linkage::DurableEntityStore), and a CSV quarantine — and
-// processes the serve protocol's three request families:
+// corpus (core::MatchCorpus), a durable entity store
+// (linkage::DurableEntityStore), and a CSV quarantine — and processes
+// the serve protocol's three request families:
 //
-//   kMatchQuery  string lookups ride the coalescer into batched
-//                filter_block sweeps; record lookups probe the entity
-//                store under the comparator.  Replies carry per-query
-//                ladder counters identical to a solo run.
+//   kMatchQuery  string lookups run core::MatchCorpus::query on the
+//                server worker that decoded the frame; record lookups
+//                probe the entity store under the comparator.  Replies
+//                carry the query's pipeline ladder counters.
 //   kIngest      record batches and raw CSV rows append to the durable
 //                store (write-ahead journaled, group-commit policy).
 //                Damaged CSV rows quarantine intact; the batch commits.
@@ -17,6 +17,10 @@
 //                quarantine drain (doubled-delimiter + shifted-column
 //                triage, re-ingest of repaired rows broken down by
 //                family).
+//
+// Concurrency: string queries hold corpus_mu_ shared, so server workers
+// sweep the corpus in parallel; index_strings holds it exclusively.
+// Record probes, ingests and drains serialize on store_mu_.
 //
 // Observability (DESIGN.md §16): the service owns a PRIVATE
 // telemetry::Registry — the source of truth for serve.* counters
@@ -29,22 +33,21 @@
 //
 // Tracing: handle() installs the request's trace id (FrameContext.trace,
 // derived client-side) as the thread's current trace and records one
-// serve.<family> span per traced request; the coalescer picks the id up
-// via telemetry::current_trace() so batch spans attribute correctly.
+// serve.<family> span per traced request.
 //
 // handler() exposes the service as a net::ShardHandler, so the same
 // instance backs an InProcessTransport (deterministic reference) and a
 // ShardServer over real loopback sockets — the transport-equivalence
-// property the client tests assert.  Overload (coalescer admission or
-// the service-wide in-flight budget) surfaces as kResourceExhausted,
-// which the TCP server maps to a kOverloaded frame.
+// property the client tests assert.  Overload (the service-wide
+// in-flight budget) surfaces as kResourceExhausted, which the TCP server
+// maps to a kOverloaded frame.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -56,7 +59,6 @@
 #include "linkage/csv_io.hpp"
 #include "linkage/snapshot.hpp"
 #include "net/transport.hpp"
-#include "serve/coalescer.hpp"
 #include "serve/protocol.hpp"
 #include "storage/backend.hpp"
 #include "telemetry/snapshot.hpp"
@@ -65,6 +67,18 @@
 
 namespace fbf::serve {
 
+/// Ignored.  These knobs tuned the batch coalescer that string queries
+/// used to queue behind; queries now run on the request thread and
+/// ServiceOptions::max_inflight is the only admission control.  Kept
+/// only because perfbench/src/serve_workload.cpp still assigns the
+/// three fields; delete it with the benchmark's next change.
+struct [[deprecated("ignored: string queries no longer coalesce")]]
+CoalescerOptions {
+  std::size_t max_batch = 8;
+  double max_linger_ms = 0.25;
+  std::size_t max_inflight = 64;
+};
+
 struct ServiceOptions {
   /// String-corpus query knobs (method, k, field layout, exec policy).
   core::QueryOptions query;
@@ -72,7 +86,11 @@ struct ServiceOptions {
   linkage::ComparatorConfig comparator;
   /// Durability (checkpoint cadence, group commit) for the entity store.
   linkage::DurabilityPolicy durability;
+  /// Ignored (see CoalescerOptions).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
   CoalescerOptions coalescer;
+#pragma GCC diagnostic pop
   /// Hard cap on per-request max_matches (a client asking for more gets
   /// this many).
   std::uint32_t max_matches_limit = 256;
@@ -89,7 +107,6 @@ class MatchService {
  public:
   MatchService(ServiceOptions options,
                std::shared_ptr<storage::StorageBackend> backend);
-  ~MatchService();
 
   MatchService(const MatchService&) = delete;
   MatchService& operator=(const MatchService&) = delete;
@@ -113,10 +130,6 @@ class MatchService {
       return handle(ctx, payload);
     };
   }
-
-  /// Stops the coalescer (in-flight queries fail kUnavailable).  The
-  /// destructor calls this; explicit for orderly daemon shutdown.
-  void stop();
 
   /// Test hook: kill -9 at this instant (forwards to
   /// DurableEntityStore::simulate_crash).  Further ingests fail; recover
@@ -158,17 +171,16 @@ class MatchService {
       std::string_view payload);
   [[nodiscard]] fbf::util::Result<std::string> handle_admin(
       std::string_view payload);
-  [[nodiscard]] MatchResponse match_string(const MatchRequest& req,
-                                           core::CorpusResult result) const;
+  [[nodiscard]] MatchResponse match_string(const MatchRequest& req) const;
   [[nodiscard]] MatchResponse match_record(const MatchRequest& req);
 
   ServiceOptions options_;
   core::MatchCorpus corpus_;
-  mutable std::mutex corpus_mu_;  ///< guards corpus_ (batch fn + appends)
+  /// Guards corpus_: shared for queries, exclusive for appends.
+  mutable std::shared_mutex corpus_mu_;
   linkage::DurableEntityStore store_;
   mutable std::mutex store_mu_;   ///< guards store_ + quarantine_
   std::vector<fbf::util::CsvRow> quarantine_;
-  std::optional<BatchCoalescer> coalescer_;
 
   std::atomic<std::size_t> inflight_{0};
 

@@ -1,12 +1,12 @@
 #include "storage/local_dir.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <system_error>
 
 #include "util/fault.hpp"
@@ -164,15 +164,32 @@ u::Status LocalDirBackend::put(const BlobRef& ref, std::string_view bytes) {
 u::Result<std::string> LocalDirBackend::get(const BlobRef& ref) {
   maybe_slow_op(ref, op_seq_[ref.name]);  // reads don't advance the sequence
   const std::string path = path_of(ref);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
     return u::Status::not_found("blob not found: " + ref.name);
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return u::Status::io_error("blob read failed: " + ref.name);
+  // One read into a buffer of the file's size: no growth by doubling, so
+  // a multi-megabyte base leaves no oversized free chunks behind.
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return u::Status::io_error("blob stat failed: " + ref.name);
   }
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0) {
+      ::close(fd);
+      return u::Status::io_error("blob read failed: " + ref.name);
+    }
+    if (n == 0) {
+      break;  // shrank under us: return what is there
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(done);
   return bytes;
 }
 

@@ -251,7 +251,7 @@ struct SpanRecord {
 
 /// The trace id of the request currently being processed on this thread
 /// (0 when none).  Set by the serve handler, read by layers below it
-/// that have no trace parameter of their own (e.g. the coalescer).
+/// that have no trace parameter of their own.
 [[nodiscard]] std::uint64_t current_trace() noexcept;
 
 /// RAII setter for current_trace().

@@ -1,12 +1,12 @@
-// Serve-layer properties (DESIGN.md §15): the coalescing contract
-// (batched Q>1 byte-identical to sequential Q=1), overload/backpressure,
-// kill-mid-ingest durability, and quarantine triage over the protocol.
+// Serve-layer properties (DESIGN.md §15): batched corpus queries
+// byte-identical to sequential ones, concurrent request-thread serving
+// identical to solo queries, overload/backpressure, kill-mid-ingest
+// durability, and quarantine triage over the protocol.
 #include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <memory>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +18,6 @@
 #include "linkage/person_gen.hpp"
 #include "net/tcp.hpp"
 #include "serve/client.hpp"
-#include "serve/coalescer.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "storage/mem_object.hpp"
@@ -51,6 +50,42 @@ d::PairedDataset make_dataset(std::size_t n, std::uint64_t seed) {
   auto built = d::build_paired_dataset(d::FieldKind::kLastName, n, seed);
   EXPECT_TRUE(built.ok());
   return std::move(built.value());
+}
+
+/// The reply a string query should get from a service over `corpus`: the
+/// solo corpus query, rendered the way MatchService renders it.
+fbf::MatchResponse solo_reply(const c::MatchCorpus& corpus,
+                              const std::string& text,
+                              std::uint32_t max_matches) {
+  const c::CorpusResult result = corpus.query(text);
+  fbf::MatchResponse resp;
+  resp.counters = result.counters;
+  resp.comparisons = corpus.size();
+  for (const std::uint32_t id : result.matches) {
+    if (resp.matches.size() == max_matches) {
+      break;
+    }
+    resp.matches.push_back({id, 0, 1.0, corpus.value(id)});
+  }
+  return resp;
+}
+
+/// Sends one string query through MatchService::handle and decodes the
+/// reply.
+u::Result<fbf::MatchResponse> serve_string(s::MatchService& service,
+                                           const std::string& text,
+                                           std::uint32_t max_matches) {
+  fbf::MatchRequest request;
+  request.text = text;
+  request.max_matches = max_matches;
+  fbf::net::FrameContext ctx;
+  ctx.type = fbf::net::FrameType::kMatchQuery;
+  const u::Result<std::string> reply =
+      service.handle(ctx, s::encode_match_request(request));
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  return s::decode_match_response(reply.value());
 }
 
 }  // namespace
@@ -94,10 +129,10 @@ TEST(MatchCorpus, BatchedIdenticalInPerPairFallbackMode) {
 }
 
 TEST(MatchCorpus, BatchedIdenticalAcrossExecThreads) {
-  // exec-policy invariance (exec_policy.hpp): fanning a batch across a
-  // worker pool partitions the queries but cannot change any query's
-  // matches or counters — the parallel batch must equal the serial
-  // corpus query for query, bit for bit.
+  // exec-policy invariance (exec_policy.hpp): building the packed planes
+  // across threads cannot change any query's matches or counters — the
+  // batch over a threaded build must equal the serial corpus query for
+  // query, bit for bit.
   const d::PairedDataset dataset = make_dataset(600, 14);
   c::QueryOptions serial;
   const c::MatchCorpus reference(serial, dataset.clean);
@@ -135,49 +170,41 @@ TEST(MatchCorpus, FindsInjectedErrorNeighbor) {
   EXPECT_EQ(found, 50u);
 }
 
-// --- BatchCoalescer ----------------------------------------------------
+// --- request-thread serving ---------------------------------------------
 
-TEST(Coalescer, ConcurrentSubmissionsMatchSoloQueries) {
-  const d::PairedDataset dataset = make_dataset(500, 21);
-  const c::MatchCorpus corpus(c::QueryOptions{}, dataset.clean);
-  s::CoalescerOptions options;
-  options.max_linger_ms = 0.5;
+TEST(ServeRequestThread, ConcurrentQueriesMatchSoloCorpusQueries) {
+  // Every server worker answers its own string query; 16 callers racing
+  // through handle() must each get exactly the reply a solo corpus
+  // query renders, fingerprint for fingerprint.
+  const d::PairedDataset dataset = make_dataset(600, 21);
+  s::ServiceOptions options;
   options.max_inflight = 1024;
-  s::BatchCoalescer coalescer(
-      [&corpus](std::span<const std::string> queries) {
-        return corpus.query_batch(queries);
-      },
-      options);
+  s::MatchService service(options,
+                          std::make_shared<fbf::storage::MemObjectBackend>());
+  service.index_strings(dataset.clean);
 
-  // Fuzzed arrival order: 6 threads x 24 queries with per-thread jitter.
-  constexpr std::size_t kThreads = 6;
+  constexpr std::size_t kThreads = 16;
   constexpr std::size_t kPerThread = 24;
+  constexpr std::uint32_t kMaxMatches = 4;
   std::vector<std::thread> threads;
   std::vector<std::string> failures(kThreads);
   std::barrier start(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::mt19937 jitter(static_cast<unsigned>(t) * 7919u + 1u);
       start.arrive_and_wait();
       for (std::size_t i = 0; i < kPerThread; ++i) {
         const std::string& query =
             dataset.error[(t * kPerThread + i) % dataset.error.size()];
-        if (jitter() % 3 == 0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(jitter() % 400));
-        }
-        u::Result<c::CorpusResult> got = coalescer.submit(query);
+        const u::Result<fbf::MatchResponse> got =
+            serve_string(service, query, kMaxMatches);
         if (!got.ok()) {
           failures[t] = got.status().to_string();
           return;
         }
-        const c::CorpusResult want = corpus.query(query);
-        if (got->matches != want.matches ||
-            got->counters.candidates_generated !=
-                want.counters.candidates_generated ||
-            got->counters.fbf_pass != want.counters.fbf_pass ||
-            got->counters.verify_calls != want.counters.verify_calls) {
-          failures[t] = "batched result diverged for query " + query;
+        if (s::match_response_fingerprint(got.value()) !=
+            s::match_response_fingerprint(
+                solo_reply(service.corpus(), query, kMaxMatches))) {
+          failures[t] = "served reply diverged for query " + query;
           return;
         }
       }
@@ -189,53 +216,80 @@ TEST(Coalescer, ConcurrentSubmissionsMatchSoloQueries) {
   for (const std::string& failure : failures) {
     EXPECT_TRUE(failure.empty()) << failure;
   }
-  const s::CoalescerStats stats = coalescer.stats();
-  EXPECT_EQ(stats.queries, kThreads * kPerThread);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_GE(stats.queries, stats.batches);  // never more batches than queries
-  EXPECT_LE(stats.max_batch, c::kMaxBlockQueries);
+  EXPECT_EQ(service.metrics_snapshot().counter("serve.queries"),
+            kThreads * kPerThread);
 }
 
-TEST(Coalescer, OverloadFailsFastWithResourceExhausted) {
-  // A deliberately slow batch function with a tiny admission bound: the
-  // flood must split into served and kResourceExhausted, nothing lost.
-  s::CoalescerOptions options;
-  options.max_batch = 1;
-  options.max_linger_ms = 0.0;
-  options.max_inflight = 2;
-  s::BatchCoalescer coalescer(
-      [](std::span<const std::string> queries) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return std::vector<c::CorpusResult>(queries.size());
-      },
-      options);
-  constexpr std::size_t kThreads = 12;
-  std::atomic<std::uint64_t> served{0};
-  std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> other{0};
+TEST(ServeRequestThread, QueriesRaceIndexStringsAndSeeAWholeCorpusPrefix) {
+  // Queries hold the corpus shared while index_strings appends under the
+  // exclusive lock: each reply must equal the solo reply over exactly
+  // the prefix its `comparisons` names, never a torn mix.
+  const d::PairedDataset dataset = make_dataset(800, 23);
+  constexpr std::size_t kBase = 400;
+  constexpr std::size_t kChunk = 100;
+  constexpr std::uint32_t kMaxMatches = 8;
+  std::vector<std::unique_ptr<c::MatchCorpus>> prefixes;
+  for (std::size_t n = kBase; n <= dataset.clean.size(); n += kChunk) {
+    prefixes.push_back(std::make_unique<c::MatchCorpus>(
+        c::QueryOptions{},
+        std::span<const std::string>(dataset.clean.data(), n)));
+  }
+  s::ServiceOptions options;
+  options.max_inflight = 1024;
+  s::MatchService service(options,
+                          std::make_shared<fbf::storage::MemObjectBackend>());
+  service.index_strings(
+      std::span<const std::string>(dataset.clean.data(), kBase));
+
+  constexpr std::size_t kReaders = 6;
+  constexpr std::size_t kPerReader = 40;
   std::vector<std::thread> threads;
-  std::barrier start(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
+  std::vector<std::string> failures(kReaders);
+  std::barrier start(kReaders + 1);
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
       start.arrive_and_wait();
-      const u::Result<c::CorpusResult> got = coalescer.submit("q");
-      if (got.ok()) {
-        ++served;
-      } else if (got.status().code() == u::StatusCode::kResourceExhausted) {
-        ++rejected;
-      } else {
-        ++other;
+      for (std::size_t i = 0; i < kPerReader; ++i) {
+        const std::string& query =
+            dataset.error[(t * kPerReader + i) % dataset.error.size()];
+        const u::Result<fbf::MatchResponse> got =
+            serve_string(service, query, kMaxMatches);
+        if (!got.ok()) {
+          failures[t] = got.status().to_string();
+          return;
+        }
+        const std::uint64_t comparisons = got->comparisons;
+        if (comparisons < kBase || (comparisons - kBase) % kChunk != 0 ||
+            comparisons > dataset.clean.size()) {
+          failures[t] = "reply swept a torn corpus of " +
+                        std::to_string(comparisons) + " strings";
+          return;
+        }
+        const c::MatchCorpus& prefix = *prefixes[(comparisons - kBase) / kChunk];
+        if (s::match_response_fingerprint(got.value()) !=
+            s::match_response_fingerprint(
+                solo_reply(prefix, query, kMaxMatches))) {
+          failures[t] = "reply diverged from the " +
+                        std::to_string(comparisons) +
+                        "-string prefix for query " + query;
+          return;
+        }
       }
     });
+  }
+  start.arrive_and_wait();
+  for (std::size_t n = kBase; n < dataset.clean.size(); n += kChunk) {
+    service.index_strings(
+        std::span<const std::string>(dataset.clean.data() + n, kChunk));
+    std::this_thread::yield();
   }
   for (std::thread& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(served + rejected, kThreads);
-  EXPECT_EQ(other, 0u);
-  EXPECT_GT(served, 0u);
-  EXPECT_GT(rejected, 0u);  // 12 near-simultaneous vs bound 2 must reject
-  EXPECT_EQ(coalescer.stats().rejected, rejected);
+  for (const std::string& failure : failures) {
+    EXPECT_TRUE(failure.empty()) << failure;
+  }
+  EXPECT_EQ(service.corpus().size(), dataset.clean.size());
 }
 
 // --- overload over the wire --------------------------------------------
@@ -265,7 +319,6 @@ TEST(ServeOverload, ServiceInflightBudgetRejectsFloods) {
   auto backend = std::make_shared<fbf::storage::MemObjectBackend>();
   s::ServiceOptions options;
   options.max_inflight = 2;
-  options.coalescer.max_inflight = 2;
   s::MatchService service(options, backend);
   const std::vector<std::string> corpus{"alpha", "beta", "gamma"};
   service.index_strings(corpus);
@@ -278,12 +331,22 @@ TEST(ServeOverload, ServiceInflightBudgetRejectsFloods) {
   fbf::MatchRequest request;
   request.text = "alpha";
   const std::string payload = s::encode_match_request(request);
+  // A string query takes microseconds on the request thread, so 50
+  // requests a thread can finish without three ever overlapping on a
+  // loaded host.  Each thread keeps flooding until the budget has
+  // tripped once; the deadline only bounds a broken budget, which then
+  // fails the assertion below.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       fbf::net::FrameContext ctx;
       ctx.type = fbf::net::FrameType::kMatchQuery;
       start.arrive_and_wait();
-      for (int i = 0; i < 50; ++i) {
+      for (int i = 0;
+           i < 50 || (overloaded.load() == 0 &&
+                      std::chrono::steady_clock::now() < deadline);
+           ++i) {
         const u::Result<std::string> reply = service.handle(ctx, payload);
         if (reply.ok()) {
           ++ok;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -113,6 +114,9 @@ TEST(Snapshot, RoundTripPreservesRecordsIdsAndSignatures) {
   ASSERT_TRUE(seq.ok()) << seq.status().to_string();
   EXPECT_EQ(seq.value(), 3u);
   expect_stores_equal(store, loaded);
+  const auto verified = lk::verify_snapshot(bytes);
+  ASSERT_TRUE(verified.ok()) << verified.status().to_string();
+  EXPECT_EQ(verified.value(), 3u);
 }
 
 TEST(Snapshot, RoundTripWithoutFbfComparator) {
@@ -148,7 +152,43 @@ TEST(Snapshot, EverySingleByteCorruptionIsDetected) {
     if (!result.ok()) {
       EXPECT_EQ(result.status().code(), u::StatusCode::kDataLoss);
     }
+    // The checkpoint verifier must agree with the full load on every
+    // variant: same verdict, same status code.
+    const auto verified = lk::verify_snapshot(corrupt);
+    EXPECT_EQ(verified.ok(), result.ok()) << "byte " << offset;
+    if (!verified.ok() && !result.ok()) {
+      EXPECT_EQ(verified.status().code(), result.status().code())
+          << "byte " << offset;
+    }
   }
+}
+
+TEST(Snapshot, EntityIdBeyondTheTotalIsRejectedByBothDecoders) {
+  // A base whose checksum is valid but whose records name an entity id
+  // >= the entity total: structurally sound bytes describing an
+  // impossible store.  Rewrite the payload's entity total to 1 (the
+  // store holds several entities) and re-seal the checksum.
+  lk::EntityStore store(fpdl_config());
+  store.ingest(make_batches(1, 12, 5).front());
+  ASSERT_GT(store.entity_count(), 1u);
+  std::string bytes = lk::encode_snapshot(store, 1);
+  constexpr std::size_t kEnvelope = 28;  // magic, version, size, checksum
+  constexpr std::size_t kTotalAt = kEnvelope + sizeof(std::uint64_t);
+  const std::uint32_t total = 1;
+  std::memcpy(bytes.data() + kTotalAt, &total, sizeof(total));
+  const std::uint64_t checksum =
+      u::fnv1a64(std::string_view(bytes).substr(kEnvelope));
+  std::memcpy(bytes.data() + kEnvelope - sizeof(checksum), &checksum,
+              sizeof(checksum));
+
+  lk::EntityStore loaded(fpdl_config());
+  const auto decoded = lk::decode_snapshot(bytes, loaded);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), u::StatusCode::kDataLoss);
+  EXPECT_EQ(loaded.size(), 0u);
+  const auto verified = lk::verify_snapshot(bytes);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().code(), u::StatusCode::kDataLoss);
 }
 
 TEST(Snapshot, TruncatedSnapshotIsDetected) {
@@ -160,6 +200,8 @@ TEST(Snapshot, TruncatedSnapshotIsDetected) {
                                  bytes.size() - 1}) {
     lk::EntityStore loaded(fpdl_config());
     EXPECT_FALSE(lk::decode_snapshot(bytes.substr(0, keep), loaded).ok())
+        << "kept " << keep;
+    EXPECT_FALSE(lk::verify_snapshot(bytes.substr(0, keep)).ok())
         << "kept " << keep;
   }
 }

@@ -84,6 +84,33 @@ TYPED_TEST(BackendContract, PutGetExistsRemoveRoundTrip) {
   EXPECT_FALSE(backend->description().empty());
 }
 
+TYPED_TEST(BackendContract, EmptyAndMultiMegabyteBlobsRoundTripExactly) {
+  // The two sizes a one-read get could get wrong: zero bytes (exists,
+  // reads back empty, not kNotFound) and a blob several MB long that
+  // holds every byte value, NULs and 0xFF included.
+  auto backend = this->factory_.make();
+  const st::BlobRef empty{"empty.snap"};
+  ASSERT_TRUE(backend->put(empty, std::string{}).ok());
+  EXPECT_TRUE(backend->exists(empty).value());
+  const u::Result<std::string> got_empty = backend->get(empty);
+  ASSERT_TRUE(got_empty.ok()) << got_empty.status().to_string();
+  EXPECT_TRUE(got_empty->empty());
+
+  std::string big(3 * 1024 * 1024 + 17, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131 + i / 256) & 0xFF);
+  }
+  for (int v = 0; v < 256; ++v) {
+    ASSERT_NE(big.find(static_cast<char>(v)), std::string::npos) << v;
+  }
+  const st::BlobRef large{"base-big.snap"};
+  ASSERT_TRUE(backend->put(large, big).ok());
+  const u::Result<std::string> got_big = backend->get(large);
+  ASSERT_TRUE(got_big.ok()) << got_big.status().to_string();
+  EXPECT_EQ(got_big->size(), big.size());
+  EXPECT_TRUE(*got_big == big);
+}
+
 TYPED_TEST(BackendContract, ListFiltersByPrefixAndSorts) {
   auto backend = this->factory_.make();
   ASSERT_TRUE(backend->put(st::BlobRef{"delta-3-5.seg"}, "b").ok());

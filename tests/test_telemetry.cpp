@@ -446,8 +446,8 @@ TEST(TelemetryTrace, SpanSetsAreTransportEqualUnderFaultInjection) {
   EXPECT_EQ(in_process_spans, tcp_spans)
       << "a traced request must leave the same span set over both backends";
 
-  // Every query trace reached all three layers: client delivery, the
-  // serve handler, and the coalesced batch dispatch.
+  // Every query trace reached both layers: client delivery and the
+  // serve handler.
   for (const std::string& query : queries) {
     fbf::MatchRequest request;
     request.kind = fbf::MatchRequest::Kind::kString;
@@ -455,7 +455,7 @@ TEST(TelemetryTrace, SpanSetsAreTransportEqualUnderFaultInjection) {
     const std::uint64_t trace = t::derive_trace_id(
         static_cast<std::uint16_t>(fbf::net::FrameType::kMatchQuery),
         s::encode_match_request(request));
-    for (const char* layer : {"net.call", "serve.query", "serve.batch"}) {
+    for (const char* layer : {"net.call", "serve.query"}) {
       EXPECT_TRUE(tcp_spans.contains({trace, layer}))
           << layer << " span missing for traced query '" << query << "'";
     }

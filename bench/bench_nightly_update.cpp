@@ -138,10 +138,10 @@ struct UpdateRun {
 UpdateRun run_update(const std::vector<fbf::linkage::PersonRecord>& master,
                      const std::vector<std::vector<fbf::linkage::PersonRecord>>& nightly,
                      const fbf::linkage::ComparatorConfig& comparator,
-                     const fbf::linkage::EntityStoreOptions& options) {
+                     const fbf::core::ExecPolicy& exec) {
   namespace lk = fbf::linkage;
   UpdateRun run;
-  lk::EntityStore store(comparator, options);
+  lk::EntityStore store(comparator, exec);
   const auto fold = [&](const lk::IngestStats& stats) {
     run.total_ms += stats.signature_ms + stats.match_ms;
     run.signature_ms += stats.signature_ms;

@@ -42,7 +42,7 @@ LadderTelemetry& ladder_telemetry() {
 /// the source of truth — telemetry only *observes* the delta, so match
 /// decisions and PipelineCounters are byte-identical with telemetry on,
 /// off, or compiled out (property-tested).  The guard snapshots the
-/// counters at entry, so the per-query filter_block overload passes its
+/// counters at entry, so the per-query filter_block path passes its
 /// whole span and the sum-of-deltas lands once.
 class LadderMirror {
  public:
@@ -203,68 +203,59 @@ std::size_t CandidatePipeline::filter(const Query& q, std::size_t begin,
                                       const std::uint64_t* eligible,
                                       std::uint64_t* bitmap,
                                       PipelineCounters& counters) const {
-  assert(begin % 64 == 0 && "bitmap lanes must stay word-aligned");
-  assert(end <= size_);
-  if (begin >= end) {
-    return 0;
-  }
-  const LadderMirror mirror(counters);
-  return batched_ ? filter_batched(q, begin, end, eligible, bitmap, counters)
-                  : filter_per_pair(q, begin, end, eligible, bitmap, counters);
-}
-
-std::size_t CandidatePipeline::filter_batched(
-    const Query& q, std::size_t begin, std::size_t end,
-    const std::uint64_t* eligible, std::uint64_t* bitmap,
-    PipelineCounters& counters) const {
-  const std::size_t width = end - begin;
-  const bool two_words = packed_.words() == 2;
-  // begin % 64 == 0 keeps the plane offset a multiple of 8, so the
-  // kernel's cache-line over-read stays inside the zero-padded planes.
-  const std::uint64_t* p0 = packed_.plane(0) + begin;
-  const std::uint64_t* p1 = two_words ? packed_.plane(1) + begin : nullptr;
-  const std::uint64_t qw0 = q.w0;
-  const std::uint64_t qw1 = q.w1;
-  const std::size_t survivors = fbf::core::filter_block(
-      &qw0, two_words ? &qw1 : nullptr, 1, p0, p1, width, 2 * config_.k,
-      packed_.max_tail_popcount(), config_.prune_planes, bitmap,
-      bitmap_words(width), kernel_);
-
-  if (eligible == nullptr && !config_.use_length) {
-    counters.candidates_generated += width;
-    counters.fbf_evaluated += width;
-    counters.fbf_pass += survivors;
-    return survivors;
-  }
-  return apply_pre_gates(q.length, begin, width, eligible, bitmap, counters);
+  return filter_queries({&q, 1}, begin, end, eligible, bitmap,
+                        bitmap_words(end - begin), &counters, 0);
 }
 
 std::size_t CandidatePipeline::filter_block(
     std::span<const Query> queries, std::size_t begin, std::size_t end,
     const std::uint64_t* eligible, std::uint64_t* bitmaps,
     std::size_t bitmap_stride, PipelineCounters& counters) const {
+  return filter_queries(queries, begin, end, eligible, bitmaps,
+                        bitmap_stride, &counters, 0);
+}
+
+std::size_t CandidatePipeline::filter_block(
+    std::span<const Query> queries, std::size_t begin, std::size_t end,
+    const std::uint64_t* eligible, std::uint64_t* bitmaps,
+    std::size_t bitmap_stride, std::span<PipelineCounters> counters) const {
+  assert(counters.size() == queries.size());
+  return filter_queries(queries, begin, end, eligible, bitmaps,
+                        bitmap_stride, counters.data(), 1);
+}
+
+// The one batched filter body.  Query i's ladder is charged to
+// counters[i * counter_step]: step 0 pools every query into one counter
+// set, step 1 attributes each query to its own.
+std::size_t CandidatePipeline::filter_queries(
+    std::span<const Query> queries, std::size_t begin, std::size_t end,
+    const std::uint64_t* eligible, std::uint64_t* bitmaps,
+    std::size_t bitmap_stride, PipelineCounters* counters,
+    std::size_t counter_step) const {
   assert(begin % 64 == 0 && "bitmap lanes must stay word-aligned");
   assert(end <= size_);
-  if (begin >= end || queries.empty()) {
+  if (begin >= end) {
     return 0;
   }
-  const LadderMirror mirror(counters);
+  const LadderMirror mirror(std::span<const PipelineCounters>(
+      counters, counter_step == 0 ? 1 : queries.size()));
   const std::size_t width = end - begin;
   assert(bitmap_stride >= bitmap_words(width));
+  std::size_t total = 0;
   if (!batched_) {
-    std::size_t survivors = 0;
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      survivors += filter_per_pair(queries[i], begin, end, eligible,
-                                   bitmaps + i * bitmap_stride, counters);
+      total += filter_per_pair(queries[i], begin, end, eligible,
+                               bitmaps + i * bitmap_stride,
+                               counters[i * counter_step]);
     }
-    return survivors;
+    return total;
   }
 
+  // begin % 64 == 0 keeps the plane offset a multiple of 8, so the
+  // kernel's cache-line over-read stays inside the zero-padded planes.
   const bool two_words = packed_.words() == 2;
   const std::uint64_t* p0 = packed_.plane(0) + begin;
   const std::uint64_t* p1 = two_words ? packed_.plane(1) + begin : nullptr;
-  const int tail_bound = packed_.max_tail_popcount();
-  std::size_t total = 0;
   // Gather the packed query words SoA-style per register-resident chunk.
   std::uint64_t q0[kMaxBlockQueries];
   std::uint64_t q1[kMaxBlockQueries];
@@ -278,70 +269,24 @@ std::size_t CandidatePipeline::filter_block(
     }
     const std::size_t raw = fbf::core::filter_block(
         q0, two_words ? q1 : nullptr, m, p0, p1, width, 2 * config_.k,
-        tail_bound, config_.prune_planes, bitmaps + base_q * bitmap_stride,
-        bitmap_stride, kernel_);
-    if (eligible == nullptr && !config_.use_length) {
-      counters.candidates_generated += width * m;
-      counters.fbf_evaluated += width * m;
-      counters.fbf_pass += raw;
+        packed_.max_tail_popcount(), /*prune=*/true,
+        bitmaps + base_q * bitmap_stride, bitmap_stride, kernel_);
+    const bool ungated = eligible == nullptr && !config_.use_length;
+    if (ungated && counter_step == 0) {
+      // Every lane reached the FBF stage and one counter set takes the
+      // whole chunk, so the kernel's survivor count is the ladder.  The
+      // join's tile sweep runs here; gating it per row made the kernel
+      // call a minor share of the sweep (about 1.5x slower end to end).
+      counters->candidates_generated += width * m;
+      counters->fbf_evaluated += width * m;
+      counters->fbf_pass += raw;
       total += raw;
       continue;
     }
-    for (std::size_t i = 0; i < m; ++i) {
-      total += apply_pre_gates(queries[base_q + i].length, begin, width,
-                               eligible, bitmaps + (base_q + i) * bitmap_stride,
-                               counters);
-    }
-  }
-  return total;
-}
-
-std::size_t CandidatePipeline::filter_block(
-    std::span<const Query> queries, std::size_t begin, std::size_t end,
-    const std::uint64_t* eligible, std::uint64_t* bitmaps,
-    std::size_t bitmap_stride, std::span<PipelineCounters> counters) const {
-  assert(begin % 64 == 0 && "bitmap lanes must stay word-aligned");
-  assert(end <= size_);
-  assert(counters.size() == queries.size());
-  if (begin >= end || queries.empty()) {
-    return 0;
-  }
-  const LadderMirror mirror(counters);
-  const std::size_t width = end - begin;
-  assert(bitmap_stride >= bitmap_words(width));
-  if (!batched_) {
-    std::size_t survivors = 0;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      survivors += filter_per_pair(queries[i], begin, end, eligible,
-                                   bitmaps + i * bitmap_stride, counters[i]);
-    }
-    return survivors;
-  }
-
-  const bool two_words = packed_.words() == 2;
-  const std::uint64_t* p0 = packed_.plane(0) + begin;
-  const std::uint64_t* p1 = two_words ? packed_.plane(1) + begin : nullptr;
-  const int tail_bound = packed_.max_tail_popcount();
-  std::size_t total = 0;
-  std::uint64_t q0[kMaxBlockQueries];
-  std::uint64_t q1[kMaxBlockQueries];
-  for (std::size_t base_q = 0; base_q < queries.size();
-       base_q += kMaxBlockQueries) {
-    const std::size_t m =
-        std::min(kMaxBlockQueries, queries.size() - base_q);
-    for (std::size_t i = 0; i < m; ++i) {
-      q0[i] = queries[base_q + i].w0;
-      q1[i] = queries[base_q + i].w1;
-    }
-    fbf::core::filter_block(
-        q0, two_words ? q1 : nullptr, m, p0, p1, width, 2 * config_.k,
-        tail_bound, config_.prune_planes, bitmaps + base_q * bitmap_stride,
-        bitmap_stride, kernel_);
-    for (std::size_t i = 0; i < m; ++i) {
-      std::uint64_t* bitmap = bitmaps + (base_q + i) * bitmap_stride;
-      PipelineCounters& qc = counters[base_q + i];
-      if (eligible == nullptr && !config_.use_length) {
-        // Fast path mirror of the aggregate overload, attributed per row.
+    for (std::size_t i = base_q; i < base_q + m; ++i) {
+      std::uint64_t* bitmap = bitmaps + i * bitmap_stride;
+      PipelineCounters& qc = counters[i * counter_step];
+      if (ungated) {
         std::size_t row = 0;
         for (std::size_t w = 0; w < bitmap_words(width); ++w) {
           row += static_cast<std::size_t>(std::popcount(bitmap[w]));
@@ -352,8 +297,8 @@ std::size_t CandidatePipeline::filter_block(
         total += row;
         continue;
       }
-      total += apply_pre_gates(queries[base_q + i].length, begin, width,
-                               eligible, bitmap, qc);
+      total += apply_pre_gates(queries[i].length, begin, width, eligible,
+                               bitmap, qc);
     }
   }
   return total;
@@ -495,7 +440,7 @@ std::size_t CandidatePipeline::filter_ids(
     }
     fbf::core::filter_block(&qw0, two_words ? &qw1 : nullptr, 1, g0,
                             two_words ? g1 : nullptr, n, 2 * config_.k,
-                            packed_.max_tail_popcount(), config_.prune_planes,
+                            packed_.max_tail_popcount(), /*prune=*/true,
                             bitmap, bitmap_words(n), kernel_);
     for (std::size_t w = 0; w < bitmap_words(n); ++w) {
       const std::size_t lane_base = w * 64;

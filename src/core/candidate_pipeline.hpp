@@ -14,11 +14,13 @@
 //                              fallback; exact ladder counter semantics)
 //   verify(...)             -> pluggable DL / PDL / none verifier
 //
-// Consumers — the string join (core/match_join), the incremental
-// EntityStore, the linkage engine + cluster service, and the signature
-// index — all drain the same bitmaps with identical counters, so "which
-// filter ran" is no longer a per-call-site question.  The candidate store
-// is append-only and incremental: nightly batches extend the planes
+// Consumers — the string join (core/match_join), the served corpus
+// (core/corpus), the incremental EntityStore, and the linkage engine +
+// cluster service — all drain the same bitmaps with identical counters,
+// so "which filter ran" is no longer a per-call-site question.  filter()
+// and both filter_block overloads share one private body, so the plane
+// setup, kernel call and pre-gate counters exist once.  The candidate
+// store is append-only and incremental: nightly batches extend the planes
 // without repacking (amortized growth in PackedSignatureStore).
 //
 // Counter semantics (shared by batched and fallback paths, property-
@@ -61,11 +63,6 @@ struct PipelineConfig {
   Verifier verifier = Verifier::kPdl;
   fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
   bool force_per_pair = false;
-  /// Plane-level pruning inside the batched kernel (skip the plane-1 load
-  /// for candidate groups fully decided by plane 0).  Pure performance
-  /// switch: survivor bitmaps and counters are identical either way
-  /// (property-tested); exposed for the bench ablation.
-  bool prune_planes = true;
 };
 
 /// Per-stage counters, merged additively across tiles / chunks / shards.
@@ -235,10 +232,12 @@ class CandidatePipeline {
   }
 
  private:
-  std::size_t filter_batched(const Query& q, std::size_t begin,
-                             std::size_t end, const std::uint64_t* eligible,
-                             std::uint64_t* bitmap,
-                             PipelineCounters& counters) const;
+  std::size_t filter_queries(std::span<const Query> queries,
+                             std::size_t begin, std::size_t end,
+                             const std::uint64_t* eligible,
+                             std::uint64_t* bitmaps, std::size_t bitmap_stride,
+                             PipelineCounters* counters,
+                             std::size_t counter_step) const;
   std::size_t apply_pre_gates(std::uint32_t query_length, std::size_t begin,
                               std::size_t width, const std::uint64_t* eligible,
                               std::uint64_t* bitmap,

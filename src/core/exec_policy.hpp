@@ -1,15 +1,9 @@
-// Execution policy: the knobs that decide *how* a linkage-layer operation
-// runs, not *what* it computes.
-//
-// Before this struct existed the same two knobs lived as loose fields on
-// every config that ran a scoring loop (LinkConfig::use_pipeline/threads,
-// EntityStoreOptions::use_pipeline/threads), so call sites copied them
-// field by field and new execution options meant touching every struct.
-// ExecPolicy is now embedded in both and `config.exec.<knob>` is the only
-// spelling — the one-release deprecated reference aliases are gone (see
-// TUTORIAL §11).  Results are policy-independent by contract: any (use_pipeline,
-// threads) combination produces identical decisions and counters — the
-// equivalence property tests pin that.
+// Execution policy: the knobs that decide *how* an operation runs, not
+// *what* it computes.  LinkConfig, QueryOptions, LinkageContext and
+// EntityStore each take one ExecPolicy.  Results are policy-independent
+// by contract: any (use_pipeline, threads, generator) combination
+// produces identical decisions and counters — the equivalence property
+// tests pin that.
 #pragma once
 
 #include <cstddef>

@@ -15,7 +15,6 @@
 #include "metrics/pdl.hpp"
 #include "metrics/soundex.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/affinity.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -51,45 +50,12 @@ inline bool evaluate_pair(std::string_view s, std::string_view t, int k,
 /// integer sums, so totals are deterministic for any thread count.
 template <typename MakeTileFn>
 void run_tile_space(std::size_t n_left, std::size_t n_right,
-                    std::size_t threads, bool affinity, JoinStats& stats,
+                    std::size_t threads, JoinStats& stats,
                     const MakeTileFn& make_tile_fn) {
   const std::size_t col_tiles = (n_right + kTileCols - 1) / kTileCols;
-  const std::size_t row_tiles = (n_left + kTileRows - 1) / kTileRows;
   const std::size_t n_tiles = join_tile_count(n_left, n_right);
   stats.tiles = n_tiles;
   if (n_tiles == 0) {
-    return;
-  }
-  // Affinity schedule: worker w is pinned to CPU w and owns tile rows
-  // r % n_workers == w, so one core streams a row's plane data end to
-  // end.  Needs >= 2 workers — parallel_chunks runs a single chunk
-  // inline on the caller, and pinning the caller would leak affinity
-  // past the join.  Counters stay deterministic: chunk stats are merged
-  // in worker order and counters are integer sums, so both schedules
-  // produce identical totals (and match_pairs are sorted afterwards).
-  const std::size_t n_workers =
-      std::max<std::size_t>(1, std::min(threads, row_tiles));
-  if (affinity && n_workers >= 2) {
-    stats.affinity_schedule = true;
-    std::vector<JoinStats> chunk_stats(n_workers);
-    fbf::util::parallel_chunks(
-        n_workers, n_workers,
-        [&](std::size_t chunk, std::size_t worker, std::size_t) {
-          JoinStats& local = chunk_stats[chunk];
-          fbf::util::pin_current_thread(worker);
-          auto tile_fn = make_tile_fn();
-          for (std::size_t r = worker; r < row_tiles; r += n_workers) {
-            const std::size_t i0 = r * kTileRows;
-            const std::size_t i1 = std::min(i0 + kTileRows, n_left);
-            for (std::size_t c = 0; c < col_tiles; ++c) {
-              const std::size_t j0 = c * kTileCols;
-              tile_fn(i0, i1, j0, std::min(j0 + kTileCols, n_right), local);
-            }
-          }
-        });
-    for (const JoinStats& local : chunk_stats) {
-      stats.merge_counts(local);
-    }
     return;
   }
   std::vector<JoinStats> chunk_stats(
@@ -114,9 +80,9 @@ void run_tile_space(std::size_t n_left, std::size_t n_right,
 /// Generic path: per-pair kernel looped over a tile.
 template <typename MakeKernel>
 void run_pair_tiles(std::size_t n_left, std::size_t n_right,
-                    std::size_t threads, bool affinity, bool collect,
-                    JoinStats& stats, const MakeKernel& make_kernel) {
-  run_tile_space(n_left, n_right, threads, affinity, stats, [&] {
+                    std::size_t threads, bool collect, JoinStats& stats,
+                    const MakeKernel& make_kernel) {
+  run_tile_space(n_left, n_right, threads, stats, [&] {
     return [kernel = make_kernel(), collect](
                std::size_t i0, std::size_t i1, std::size_t j0,
                std::size_t j1, JoinStats& local) {
@@ -322,12 +288,8 @@ JoinStats match_strings(std::span<const std::string> left,
   }
 
   const fbf::util::Stopwatch join_timer;
-  const bool affinity =
-      config.affinity == TileAffinity::kOn ||
-      (config.affinity == TileAffinity::kAuto &&
-       fbf::util::numa_node_count() > 1);
   const auto run = [&](const auto& make_kernel) {
-    run_pair_tiles(left.size(), right.size(), config.threads, affinity,
+    run_pair_tiles(left.size(), right.size(), config.threads,
                    config.collect_matches, stats, make_kernel);
   };
 
@@ -375,16 +337,13 @@ JoinStats match_strings(std::span<const std::string> left,
                            config.threads, collect, stats);
           break;
         }
-        run_tile_space(left.size(), right.size(), config.threads, affinity,
-                       stats, [&] {
-                         return [&, collect](std::size_t i0, std::size_t i1,
-                                             std::size_t j0, std::size_t j1,
-                                             JoinStats& local) {
-                           run_pipeline_tile(*pipe_left, *pipe_right, left,
-                                             right, collect, i0, i1, j0, j1,
-                                             local);
-                         };
-                       });
+        run_tile_space(left.size(), right.size(), config.threads, stats, [&] {
+          return [&, collect](std::size_t i0, std::size_t i1, std::size_t j0,
+                              std::size_t j1, JoinStats& local) {
+            run_pipeline_tile(*pipe_left, *pipe_right, left, right, collect,
+                              i0, i1, j0, j1, local);
+          };
+        });
         break;
       }
       // Length-filter / verifier-only ladder (kL* methods without FBF,

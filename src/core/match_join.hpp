@@ -30,19 +30,6 @@
 
 namespace fbf::core {
 
-/// Worker/tile-ownership policy for the parallel join (DESIGN.md §13).
-/// The default schedule hands contiguous tile-id ranges to a shared
-/// worker pool; the affinity schedule instead pins each worker to a CPU
-/// and makes it *own* tile rows (row r → worker r % n_workers), so a
-/// row's plane data streams through one core's cache — and stays in one
-/// NUMA domain — for the whole join.  Counters and match sets are
-/// byte-identical under either schedule (integer sums + sorted pairs).
-enum class TileAffinity {
-  kAuto,  ///< affinity schedule only when the machine has > 1 NUMA node
-  kOff,   ///< always the shared-queue schedule
-  kOn,    ///< force pinning + row ownership (tests / benches)
-};
-
 /// Join configuration.  Defaults reproduce the paper's headline setup:
 /// FPDL at k = 1 on alphabetic strings with the 2-word signature.
 struct JoinConfig {
@@ -58,9 +45,6 @@ struct JoinConfig {
   /// supports it (default).  false forces the classic per-pair scan —
   /// the baseline for benches and equivalence tests.
   bool packed = true;
-  /// Tile-ownership schedule; kAuto is a graceful no-op on single-node
-  /// machines (the shared queue is better there — no pinning overhead).
-  TileAffinity affinity = TileAffinity::kAuto;
   /// Candidate generation strategy for FBF methods (DESIGN.md §14).
   /// kBlockIndex builds a pigeonhole block / deletion-neighborhood index
   /// over the right side and probes it per left row instead of sweeping
@@ -106,7 +90,6 @@ struct JoinStats {
   std::uint64_t tiles = 0;             ///< parallel work units scheduled
   const char* kernel = "pair-scalar";  ///< filter kernel variant used
   const char* generator = "dense";     ///< candidate generator that ran
-  bool affinity_schedule = false;      ///< row-ownership schedule ran
   /// Matching (i, j) pairs when collect_matches is set.  Ordering
   /// guarantee: sorted ascending by (i, j) after the parallel merge, so
   /// the output is byte-identical for any thread count and tile shape.

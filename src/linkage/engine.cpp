@@ -100,15 +100,9 @@ LinkStats finish(std::vector<ChunkResult>& chunks, std::uint64_t pairs,
 
 LinkageContext::LinkageContext(std::span<const PersonRecord> right,
                                const ComparatorConfig& comparator,
-                               std::size_t threads)
-    : LinkageContext(right, comparator,
-                     core::ExecPolicy{.threads = threads}) {}
-
-LinkageContext::LinkageContext(std::span<const PersonRecord> right,
-                               const ComparatorConfig& comparator,
                                const core::ExecPolicy& exec)
     : right_(right),
-      bank_(comparator, RecordFilterOptions{.generator = exec.generator}) {
+      bank_(comparator, exec.generator) {
   const std::size_t threads = exec.threads;
   const fbf::util::Stopwatch timer;
   const bool uses_fbf = config_uses_fbf(comparator);
@@ -220,8 +214,7 @@ LinkStats link_exhaustive(std::span<const PersonRecord> left,
         for (std::size_t i = begin; i < end; ++i) {
           right_ctx.bank().score_all(left[i],
                                      uses_fbf ? &left_sigs[i] : nullptr,
-                                     right, right.size(), scratch,
-                                     out.counters);
+                                     right.size(), scratch, out.counters);
           for (std::size_t j = 0; j < right.size(); ++j) {
             if (scratch.scores[j] >= config.comparator.match_threshold) {
               ++out.matches;

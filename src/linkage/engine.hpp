@@ -35,15 +35,9 @@ struct LinkConfig {
 /// must outlive the context (records are referenced, not copied).
 class LinkageContext {
  public:
-  LinkageContext(std::span<const PersonRecord> right,
-                 const ComparatorConfig& comparator,
-                 std::size_t threads = 1);
-
-  /// Builds with the full execution policy: the bank inherits
-  /// `exec.generator`, so kBlockIndex contexts index each verifying FBF
-  /// rule's stored column at build time (probed per incoming record at
-  /// link time).  The two-argument-plus-threads constructor above keeps
-  /// the dense default.
+  /// The bank inherits `exec.generator`, so kBlockIndex contexts index
+  /// each verifying FBF rule's stored column at build time (probed per
+  /// incoming record at link time).
   LinkageContext(std::span<const PersonRecord> right,
                  const ComparatorConfig& comparator,
                  const core::ExecPolicy& exec);

@@ -8,22 +8,20 @@
 namespace fbf::linkage {
 
 EntityStore::EntityStore(ComparatorConfig comparator,
-                         EntityStoreOptions options)
+                         core::ExecPolicy exec)
     : comparator_(std::move(comparator)),
-      options_(options),
+      exec_(exec),
       uses_fbf_(config_uses_fbf(comparator_)) {
-  if (options_.exec.use_pipeline) {
-    bank_.emplace(comparator_,
-                  RecordFilterOptions{.generator = options_.exec.generator});
+  if (exec_.use_pipeline) {
+    bank_.emplace(comparator_, exec_.generator);
   }
 }
 
 void EntityStore::rebuild_bank() {
-  if (!options_.exec.use_pipeline) {
+  if (!exec_.use_pipeline) {
     return;
   }
-  bank_.emplace(comparator_,
-                RecordFilterOptions{.generator = options_.exec.generator});
+  bank_.emplace(comparator_, exec_.generator);
   for (std::size_t i = 0; i < records_.size(); ++i) {
     bank_->append(records_[i], uses_fbf_ ? &signatures_[i] : nullptr);
   }
@@ -55,17 +53,16 @@ IngestStats EntityStore::ingest(std::span<const PersonRecord> batch) {
     // order, making results byte-identical to the scalar path for any
     // thread count.
     const std::size_t n_chunks = std::max<std::size_t>(
-        1, std::min(options_.exec.threads, batch.size()));
+        1, std::min(exec_.threads, batch.size()));
     std::vector<CompareCounters> chunk_counters(n_chunks);
     fbf::util::parallel_chunks(
-        batch.size(), options_.exec.threads,
+        batch.size(), exec_.threads,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           RecordFilterBank::Scratch scratch;
           CompareCounters& counters = chunk_counters[chunk];
           for (std::size_t b = begin; b < end; ++b) {
             bank_->score_all(batch[b], uses_fbf_ ? &batch_sigs[b] : nullptr,
-                             records_, store_size_at_start, scratch,
-                             counters);
+                             store_size_at_start, scratch, counters);
             Decision& d = decisions[b];
             d.index = store_size_at_start;  // sentinel: none
             for (std::size_t s = 0; s < store_size_at_start; ++s) {
@@ -149,8 +146,7 @@ EntityStore::ProbeResult EntityStore::probe(const PersonRecord& query,
   const RecordSignatures* sigs = query_sigs ? &*query_sigs : nullptr;
   if (bank_.has_value()) {
     RecordFilterBank::Scratch scratch;
-    bank_->score_all(query, sigs, records_, store_size, scratch,
-                     result.counters);
+    bank_->score_all(query, sigs, store_size, scratch, result.counters);
     for (std::size_t s = 0; s < store_size; ++s) {
       if (scratch.scores[s] >= comparator_.match_threshold) {
         result.matches.push_back({static_cast<std::uint32_t>(s),

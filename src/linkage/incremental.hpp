@@ -41,27 +41,20 @@ struct IngestStats {
   double match_ms = 0.0;
 };
 
-/// EntityStore tuning knobs.  Defaults give the fast path; the scalar
-/// path is the pre-pipeline reference implementation, kept for the
-/// equivalence property tests and the nightly bench's before/after
-/// comparison.  Batch records score independently against the pre-batch
-/// store, so ingest fans them across exec.threads pool workers; decisions
-/// and counters are byte-identical for any policy (entity ids are
-/// assigned sequentially afterwards).
-struct EntityStoreOptions {
-  core::ExecPolicy exec;
-
-  EntityStoreOptions() = default;
-  EntityStoreOptions(core::ExecPolicy policy) : exec(policy) {}  // NOLINT(google-explicit-constructor)
-};
-
 /// Append-only resolved-entity store with incremental matching.
 class EntityStore {
  public:
   /// `comparator` decides record-pair similarity; its match_threshold is
-  /// the attach threshold.
+  /// the attach threshold.  The default `exec` gives the fast path; the
+  /// scalar path (use_pipeline = false) is the pre-pipeline reference
+  /// implementation, kept for the equivalence property tests and the
+  /// nightly bench's before/after comparison.  Batch records score
+  /// independently against the pre-batch store, so ingest fans them
+  /// across exec.threads pool workers; decisions and counters are
+  /// byte-identical for any policy (entity ids are assigned sequentially
+  /// afterwards).
   explicit EntityStore(ComparatorConfig comparator,
-                       EntityStoreOptions options = {});
+                       core::ExecPolicy exec = {});
 
   /// Matches every record in `batch` against the current store contents
   /// (records already in the store — not other batch members — mirroring
@@ -152,7 +145,7 @@ class EntityStore {
   void rebuild_bank();
 
   ComparatorConfig comparator_;
-  EntityStoreOptions options_;
+  core::ExecPolicy exec_;
   bool uses_fbf_ = false;
   std::vector<PersonRecord> records_;
   std::vector<RecordSignatures> signatures_;

@@ -33,10 +33,10 @@ namespace m = fbf::metrics;
 }  // namespace
 
 RecordFilterBank::RecordFilterBank(const ComparatorConfig& config,
-                                   RecordFilterOptions options)
+                                   c::GeneratorKind generator)
     : config_(config) {
-  const bool want_block = c::select_generator(options.generator) ==
-                          c::GeneratorKind::kBlockIndex;
+  const bool want_block =
+      c::select_generator(generator) == c::GeneratorKind::kBlockIndex;
   rules_.reserve(config_.rules.size());
   for (const FieldRule& rule : config_.rules) {
     RuleState state;
@@ -48,7 +48,6 @@ RecordFilterBank::RecordFilterBank(const ComparatorConfig& config,
       pcfg.k = rule.k;
       pcfg.use_length = false;  // score_pair has no length stage
       pcfg.verifier = rule_verifier(rule.strategy);
-      pcfg.popcount = options.popcount;
       state.pipe.emplace(pcfg);
       // Soundness gate per rule: the block index covers { OSA <= k },
       // not the FBF pass-set, so kFbfOnly (survivors score directly)
@@ -110,7 +109,6 @@ const char* RecordFilterBank::kernel_name() const noexcept {
 
 void RecordFilterBank::score_all(const PersonRecord& incoming,
                                  const RecordSignatures* incoming_sigs,
-                                 std::span<const PersonRecord> /*stored*/,
                                  std::size_t count, Scratch& scratch,
                                  CompareCounters& counters) const {
   assert(count <= size_);

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -40,22 +39,18 @@
 
 namespace fbf::linkage {
 
-struct RecordFilterOptions {
-  fbf::util::PopcountKind popcount = fbf::util::PopcountKind::kHardware;
-  /// Candidate generation per FBF rule (DESIGN.md §14).  kBlockIndex
-  /// gives each verifying FBF rule a pigeonhole block / deletion-
-  /// neighborhood index over its stored field column, probed per incoming
-  /// record instead of sweeping every stored row; rules where that is
-  /// unsound (kFbfOnly scores survivors directly) or unsupported (k > 2)
-  /// stay dense.  Scores and match decisions are generator-independent
-  /// by contract.  FBF_FORCE_GENERATOR overrides.
-  fbf::core::GeneratorKind generator = fbf::core::GeneratorKind::kDense;
-};
-
 class RecordFilterBank {
  public:
-  explicit RecordFilterBank(const ComparatorConfig& config,
-                            RecordFilterOptions options = {});
+  /// `generator` picks candidate generation per FBF rule (DESIGN.md §14).
+  /// kBlockIndex gives each verifying FBF rule a pigeonhole block /
+  /// deletion-neighborhood index over its stored field column, probed per
+  /// incoming record instead of sweeping every stored row; rules where
+  /// that is unsound (kFbfOnly scores survivors directly) or unsupported
+  /// (k > 2) stay dense.  Scores and match decisions are
+  /// generator-independent by contract.  FBF_FORCE_GENERATOR overrides.
+  explicit RecordFilterBank(
+      const ComparatorConfig& config,
+      fbf::core::GeneratorKind generator = fbf::core::GeneratorKind::kDense);
 
   /// Appends one stored record.  `sigs` must be non-null when the config
   /// has FBF rules (the caller already built them for its own bookkeeping;
@@ -77,14 +72,12 @@ class RecordFilterBank {
     std::vector<std::uint32_t> survivors;
   };
 
-  /// Scores `incoming` against stored records [0, count) — `stored` is the
-  /// caller's record list, parallel to the appended order; `count` lets
-  /// the EntityStore exclude same-batch records.  scratch.scores[j] gets
-  /// the comparator score of (incoming, stored[j]); counters accumulate
-  /// exactly as a score_pair loop would.
+  /// Scores `incoming` against the first `count` appended records;
+  /// `count` lets the EntityStore exclude same-batch records.
+  /// scratch.scores[j] gets the comparator score of (incoming, appended
+  /// record j); counters accumulate exactly as a score_pair loop would.
   void score_all(const PersonRecord& incoming,
-                 const RecordSignatures* incoming_sigs,
-                 std::span<const PersonRecord> stored, std::size_t count,
+                 const RecordSignatures* incoming_sigs, std::size_t count,
                  Scratch& scratch, CompareCounters& counters) const;
 
  private:

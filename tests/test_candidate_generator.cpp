@@ -645,14 +645,12 @@ TEST(GeneratorEquivalence, EntityStoreBlockEqualsDense) {
   const auto clean = lk::generate_people(120, rng);
   const auto errors = lk::make_error_records(clean, {}, rng);
 
-  lk::EntityStoreOptions dense_opts;
-  lk::EntityStoreOptions block_opts;
-  block_opts.exec.generator = fbf::core::GeneratorKind::kBlockIndex;
-
   const auto comparator =
       lk::make_point_threshold_config(lk::FieldStrategy::kFpdl);
-  lk::EntityStore dense(comparator, dense_opts);
-  lk::EntityStore block(comparator, block_opts);
+  lk::EntityStore dense(comparator);
+  lk::EntityStore block(
+      comparator,
+      fbf::core::ExecPolicy{.generator = fbf::core::GeneratorKind::kBlockIndex});
   // Two batches so the second probes overflow-tier entries appended by
   // the first (the incremental-index path).
   const std::size_t half = clean.size() / 2;

@@ -139,10 +139,12 @@ TEST(PipelineFilter, AlphaThreeWordsFallsBackTransparently) {
   }
 }
 
-// filter_block must be *indistinguishable* from Q successive filter()
-// calls: same per-query bitmaps, same counters, same survivor total —
-// for any Q (including > kMaxBlockQueries, which exercises chunking),
-// every layout (including the per-pair fallback), gates on or off.
+// Both filter_block overloads must be *indistinguishable* from Q
+// successive filter() calls: same per-query bitmaps, same survivor total,
+// the same pooled counters — and, for the per-query overload, counters[i]
+// equal to query i's lone filter() call — for any Q (including >
+// kMaxBlockQueries, which exercises chunking), every layout (including
+// the per-pair fallback), gates on or off.
 void expect_block_equivalence(const LayoutCase& layout, int k,
                               bool use_length, bool with_eligible) {
   const auto dataset = dg::build_paired_dataset(layout.kind, 180, 631).value();
@@ -168,23 +170,43 @@ void expect_block_equivalence(const LayoutCase& layout, int k,
       queries.push_back(pipe.make_query(dataset.clean[i * 7 % n]));
     }
     std::vector<std::uint64_t> bm_block(n_queries * stride, ~0ull);
+    std::vector<std::uint64_t> bm_each(n_queries * stride, ~0ull);
     std::vector<std::uint64_t> bm_seq(words);
     c::PipelineCounters pc_block;
     c::PipelineCounters pc_seq;
+    std::vector<c::PipelineCounters> pc_each(n_queries);
     const std::size_t block_survivors = pipe.filter_block(
         queries, 0, n, mask, bm_block.data(), stride, pc_block);
+    const std::size_t each_survivors =
+        pipe.filter_block(queries, 0, n, mask, bm_each.data(), stride,
+                          std::span<c::PipelineCounters>(pc_each));
     std::size_t seq_survivors = 0;
     for (std::size_t i = 0; i < n_queries; ++i) {
-      seq_survivors +=
-          pipe.filter(queries[i], 0, n, mask, bm_seq.data(), pc_seq);
+      const std::string where =
+          std::string(dg::field_kind_name(layout.kind)) +
+          " l=" + std::to_string(layout.alpha_words) +
+          " k=" + std::to_string(k) + " len=" + std::to_string(use_length) +
+          " elig=" + std::to_string(with_eligible) +
+          " Q=" + std::to_string(n_queries) + " query=" + std::to_string(i);
+      c::PipelineCounters pc_one;
+      const std::size_t one =
+          pipe.filter(queries[i], 0, n, mask, bm_seq.data(), pc_one);
+      seq_survivors += one;
+      pc_seq.merge(pc_one);
       for (std::size_t w = 0; w < words; ++w) {
-        ASSERT_EQ(bm_block[i * stride + w], bm_seq[w])
-            << dg::field_kind_name(layout.kind) << " k=" << k
-            << " len=" << use_length << " elig=" << with_eligible
-            << " Q=" << n_queries << " query=" << i << " word " << w;
+        ASSERT_EQ(bm_block[i * stride + w], bm_seq[w]) << where << " w" << w;
+        ASSERT_EQ(bm_each[i * stride + w], bm_seq[w]) << where << " w" << w;
       }
+      EXPECT_EQ(pc_each[i].candidates_generated, pc_one.candidates_generated)
+          << where;
+      EXPECT_EQ(pc_each[i].length_pass, pc_one.length_pass) << where;
+      EXPECT_EQ(pc_each[i].fbf_evaluated, pc_one.fbf_evaluated) << where;
+      EXPECT_EQ(pc_each[i].fbf_pass, pc_one.fbf_pass) << where;
+      EXPECT_EQ(pc_each[i].verify_calls, pc_one.verify_calls) << where;
     }
     EXPECT_EQ(block_survivors, seq_survivors);
+    EXPECT_EQ(each_survivors, seq_survivors);
+    EXPECT_EQ(pc_block.candidates_generated, pc_seq.candidates_generated);
     EXPECT_EQ(pc_block.length_pass, pc_seq.length_pass);
     EXPECT_EQ(pc_block.fbf_evaluated, pc_seq.fbf_evaluated);
     EXPECT_EQ(pc_block.fbf_pass, pc_seq.fbf_pass);
@@ -208,45 +230,6 @@ TEST(PipelineFilter, FilterBlockEqualsSequentialFilters) {
         }
       }
     }
-  }
-}
-
-TEST(PipelineFilter, PrunePlanesAblationIsIdentical) {
-  // prune_planes is a pure performance switch: bitmaps, counters and
-  // survivor totals must be byte-identical with pruning on or off, on
-  // the layout where pruning actually does something (two planes).
-  const auto dataset =
-      dg::build_paired_dataset(dg::FieldKind::kAddress, 220, 93).value();
-  for (const int k : {1, 2}) {
-    c::PipelineConfig cfg;
-    cfg.field_class = c::FieldClass::kAlphanumeric;
-    cfg.k = k;
-    const c::CandidatePipeline pruned(cfg, dataset.error);
-    c::PipelineConfig noprune_cfg = cfg;
-    noprune_cfg.prune_planes = false;
-    const c::CandidatePipeline unpruned(noprune_cfg, dataset.error);
-    ASSERT_TRUE(pruned.batched());
-
-    const std::size_t n = dataset.error.size();
-    const std::size_t words = c::CandidatePipeline::bitmap_words(n);
-    std::vector<c::CandidatePipeline::Query> qp;
-    std::vector<c::CandidatePipeline::Query> qu;
-    for (std::size_t i = 0; i < 8; ++i) {
-      qp.push_back(pruned.make_query(dataset.clean[i]));
-      qu.push_back(unpruned.make_query(dataset.clean[i]));
-    }
-    std::vector<std::uint64_t> bm_p(qp.size() * words);
-    std::vector<std::uint64_t> bm_u(qu.size() * words);
-    c::PipelineCounters pc_p;
-    c::PipelineCounters pc_u;
-    const std::size_t sp =
-        pruned.filter_block(qp, 0, n, nullptr, bm_p.data(), words, pc_p);
-    const std::size_t su =
-        unpruned.filter_block(qu, 0, n, nullptr, bm_u.data(), words, pc_u);
-    EXPECT_EQ(sp, su) << "k=" << k;
-    EXPECT_EQ(bm_p, bm_u) << "k=" << k;
-    EXPECT_EQ(pc_p.fbf_evaluated, pc_u.fbf_evaluated);
-    EXPECT_EQ(pc_p.fbf_pass, pc_u.fbf_pass);
   }
 }
 

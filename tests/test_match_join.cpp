@@ -9,7 +9,6 @@
 #include "datagen/dataset.hpp"
 #include "experiments/protocol.hpp"
 #include "testenv.hpp"
-#include "util/affinity.hpp"
 #include "util/bitops.hpp"
 
 namespace {
@@ -331,101 +330,6 @@ TEST(PackedTiledJoin, MatchPairsSortedAndThreadInvariant) {
           << fbf::core::method_name(method) << " threads=" << threads;
     }
   }
-}
-
-// The affinity (row-ownership) schedule must be a pure scheduling change:
-// same counters, same sorted match set as the shared-queue schedule, for
-// every thread count, on both the packed-tile and per-pair scan paths.
-TEST(AffinityJoin, OnOffSchedulesAreByteIdentical) {
-  using fbf::core::TileAffinity;
-  const struct {
-    fbf::datagen::FieldKind kind;
-    Method method;
-  } cases[] = {{fbf::datagen::FieldKind::kLastName, Method::kFpdl},
-               {fbf::datagen::FieldKind::kSsn, Method::kLfpdl},
-               {fbf::datagen::FieldKind::kAddress, Method::kFbfOnly}};
-  for (const auto& c : cases) {
-    const auto dataset =
-        fbf::datagen::build_paired_dataset(c.kind, 400, 17).value();
-    fbf::experiments::ExperimentConfig exp;
-    exp.k = 1;
-    auto off = fbf::experiments::make_join_config(c.kind, c.method, exp);
-    off.collect_matches = true;
-    off.affinity = TileAffinity::kOff;
-    for (const bool packed : {true, false}) {
-      off.packed = packed;
-      off.threads = 1;
-      const auto reference = match_strings(dataset.clean, dataset.error, off);
-      EXPECT_FALSE(reference.affinity_schedule);
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        auto on = off;
-        on.affinity = TileAffinity::kOn;
-        on.threads = threads;
-        const auto stats = match_strings(dataset.clean, dataset.error, on);
-        expect_same_stats(
-            reference, stats,
-            std::string(fbf::datagen::field_kind_name(c.kind)) + "/" +
-                fbf::core::method_name(c.method) +
-                (packed ? " packed" : " scan") + " t=" +
-                std::to_string(threads));
-      }
-    }
-  }
-}
-
-// stats.affinity_schedule reports exactly when the row-ownership schedule
-// ran: kOn with >= 2 effective workers.  A single worker would pin the
-// caller thread (parallel_chunks runs one chunk inline), so kOn at
-// threads=1 must stay off; kOff always stays off; kAuto engages only on
-// multi-NUMA machines, so on a single-node box it equals kOff.
-TEST(AffinityJoin, ScheduleFlagReflectsPolicy) {
-  using fbf::core::TileAffinity;
-  const auto dataset = fbf::datagen::build_paired_dataset(
-      fbf::datagen::FieldKind::kLastName, 600, 29).value();
-  JoinConfig config = base_config(Method::kFpdl);
-  config.threads = 4;
-
-  config.affinity = TileAffinity::kOn;
-  EXPECT_TRUE(
-      match_strings(dataset.clean, dataset.error, config).affinity_schedule);
-
-  config.threads = 1;
-  EXPECT_FALSE(
-      match_strings(dataset.clean, dataset.error, config).affinity_schedule)
-      << "single worker must not pin the caller thread";
-
-  config.threads = 4;
-  config.affinity = TileAffinity::kOff;
-  EXPECT_FALSE(
-      match_strings(dataset.clean, dataset.error, config).affinity_schedule);
-
-  config.affinity = TileAffinity::kAuto;
-  const auto auto_stats = match_strings(dataset.clean, dataset.error, config);
-  EXPECT_EQ(auto_stats.affinity_schedule,
-            fbf::util::numa_node_count() > 1);
-}
-
-// Skewed shapes (fewer tile rows than threads) cap the worker count at
-// the row-tile count; the schedule must still cover every tile exactly
-// once and keep counters identical.
-TEST(AffinityJoin, SkewedShapesStayCorrect) {
-  using fbf::core::TileAffinity;
-  const auto dataset = fbf::datagen::build_paired_dataset(
-      fbf::datagen::FieldKind::kSsn, 2000, 41).value();
-  // 3 probes -> a single tile row; 2000 columns -> 8 col tiles.
-  const std::vector<std::string> probes = {
-      dataset.clean[0], dataset.clean[1], dataset.clean[2]};
-  JoinConfig config = base_config(Method::kFbfOnly);
-  config.field_class = FieldClass::kNumeric;
-  config.collect_matches = true;
-  config.threads = 4;
-  config.affinity = TileAffinity::kOff;
-  const auto reference = match_strings(probes, dataset.error, config);
-  config.affinity = TileAffinity::kOn;
-  const auto stats = match_strings(probes, dataset.error, config);
-  expect_same_stats(reference, stats, "skewed affinity join");
-  EXPECT_EQ(stats.pairs, 3u * 2000u);
 }
 
 }  // namespace

@@ -232,8 +232,8 @@ int main(int argc, char** argv) {
         return static_cast<double>(sent) * interarrival_ms;
       }));
   {
-    // One in-flight request per client over per-call connections, like
-    // production point lookups.
+    // One in-flight request per client, each client on its own kept-alive
+    // connection, like production point lookups.
     const std::size_t tcp_clients = std::min<std::size_t>(clients, 4);
     fbf::net::ShardServerOptions server_options;
     server_options.workers = tcp_clients;

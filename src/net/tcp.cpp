@@ -1,9 +1,11 @@
 #include "net/tcp.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "util/wire.hpp"
 
@@ -49,11 +52,6 @@ struct Deadline {
   }
 };
 
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 std::string errno_text(int err) { return std::strerror(err); }
 
 sockaddr_in loopback_addr(std::uint16_t port) {
@@ -66,14 +64,12 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 
 /// Non-blocking connect to 127.0.0.1:port, bounded by the deadline.
 u::Result<int> connect_loopback(std::uint16_t port, const Deadline& deadline) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return u::Status::io_error("socket(): " + errno_text(errno));
   }
-  if (!set_nonblocking(fd)) {
-    ::close(fd);
-    return u::Status::io_error("fcntl(O_NONBLOCK): " + errno_text(errno));
-  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const sockaddr_in addr = loopback_addr(port);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) ==
       0) {
@@ -143,6 +139,15 @@ std::string encode_error_payload(const u::Status& status) {
   return payload;
 }
 
+/// Adds or re-arms (`op`) `fd` in `epoll_fd` for one readable event
+/// tagged `tag`; one-shot, so exactly one worker takes it.
+bool arm_oneshot(int epoll_fd, int op, int fd, void* tag) {
+  epoll_event ev = {};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.ptr = tag;
+  return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
+}
+
 u::Status decode_error_payload(std::string_view payload) {
   w::Reader r{payload};
   std::uint8_t code = 0;
@@ -162,7 +167,7 @@ u::Status decode_error_payload(std::string_view payload) {
 ShardServer::ShardServer(ShardHandler handler, ShardServerOptions options)
     : handler_(std::move(handler)), options_(options) {
   injector_.emplace(options_.faults);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error("ShardServer: socket(): " + errno_text(errno));
   }
@@ -179,14 +184,26 @@ ShardServer::ShardServer(ShardHandler handler, ShardServerOptions options)
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
-  set_nonblocking(listen_fd_);
-  if (::pipe(wake_fds_) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("ShardServer: pipe(): " + errno_text(errno));
+  // The listening socket is armed one-shot like a connection (a null
+  // tag); the stop eventfd is level-triggered, so once written it wakes
+  // every worker in epoll_wait.
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  epoll_event stop_ev = {};
+  stop_ev.events = EPOLLIN;
+  stop_ev.data.ptr = &stop_fd_;
+  if (epoll_fd_ < 0 || stop_fd_ < 0 ||
+      !arm_oneshot(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, nullptr) ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &stop_ev) != 0) {
+    const int err = errno;
+    for (const int fd : {listen_fd_, epoll_fd_, stop_fd_}) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    }
+    throw std::runtime_error("ShardServer: epoll setup: " + errno_text(err));
   }
-  set_nonblocking(wake_fds_[0]);
   running_.store(true);
-  loop_thread_ = std::thread([this] { event_loop(); });
   const std::size_t workers = std::max<std::size_t>(1, options_.workers);
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
@@ -197,154 +214,141 @@ ShardServer::ShardServer(ShardHandler handler, ShardServerOptions options)
 ShardServer::~ShardServer() { stop(); }
 
 void ShardServer::stop() {
-  bool was_running = running_.exchange(false);
-  if (!was_running) {
+  if (!running_.exchange(false)) {
     return;
   }
-  // Interrupt poll(), then wake every worker so they observe shutdown.
-  (void)!::write(wake_fds_[1], "x", 1);
-  queue_cv_.notify_all();
-  if (loop_thread_.joinable()) {
-    loop_thread_.join();
-  }
+  const std::uint64_t one = 1;
+  (void)!::write(stop_fd_, &one, sizeof(one));
   for (std::thread& worker : workers_) {
-    if (worker.joinable()) {
-      worker.join();
-    }
+    worker.join();
   }
+  for (auto& [fd, conn] : conns_) {
+    ::close(fd);
+  }
+  conns_.clear();
   ::close(listen_fd_);
-  ::close(wake_fds_[0]);
-  ::close(wake_fds_[1]);
-  // Unserved jobs own their sockets.
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  for (const Job& job : queue_) {
-    ::close(job.fd);
-  }
-  queue_.clear();
-}
-
-void ShardServer::event_loop() {
-  std::vector<Connection> conns;
-  std::vector<pollfd> pfds;
-  const auto close_conn = [&conns](std::size_t i) {
-    ::close(conns[i].fd);
-    conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-  };
-  while (running_.load()) {
-    pfds.clear();
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    pfds.push_back({wake_fds_[0], POLLIN, 0});
-    for (const Connection& conn : conns) {
-      pfds.push_back({conn.fd, POLLIN, 0});
-    }
-    const int ready = ::poll(pfds.data(), pfds.size(), 100);
-    if (!running_.load()) {
-      break;
-    }
-    if (ready <= 0) {
-      continue;
-    }
-    if ((pfds[1].revents & POLLIN) != 0) {
-      char drain[16];
-      while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
-    // Connections accepted below have no pollfd entry yet; only the
-    // first `polled` entries of conns are mirrored in pfds this round.
-    const std::size_t polled = conns.size();
-    if ((pfds[0].revents & POLLIN) != 0) {
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-          break;
-        }
-        set_nonblocking(fd);
-        conns.push_back({fd, {}});
-      }
-    }
-    // Walk backwards (pfds[2+i] is conns[i]): dispatch or close removes
-    // the connection without disturbing lower indices, and the freshly
-    // accepted tail (>= polled) is left for the next poll round.
-    for (std::size_t i = polled; i-- > 0;) {
-      if ((pfds[2 + i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-        continue;
-      }
-      bool closed = false;
-      char chunk[4096];
-      while (true) {
-        const ssize_t n = ::recv(conns[i].fd, chunk, sizeof(chunk), 0);
-        if (n > 0) {
-          conns[i].buffer.append(chunk, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n == 0) {
-          closed = true;
-        }
-        break;  // EAGAIN or error or EOF
-      }
-      const DecodedFrame frame = try_decode_frame(conns[i].buffer);
-      if (frame.status == DecodeStatus::kCorrupt) {
-        counters_.corrupt_requests.fetch_add(1);
-        const std::string reply = encode_frame(
-            {FrameType::kError, 0, 1},
-            encode_error_payload(u::Status::data_loss(frame.error)));
-        const Deadline deadline(100.0);
-        (void)send_all(conns[i].fd, reply, deadline);
-        close_conn(i);
-        continue;
-      }
-      if (frame.status == DecodeStatus::kFrame) {
-        Job job;
-        job.fd = conns[i].fd;
-        job.ctx = frame.ctx;
-        job.payload.assign(frame.payload);
-        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-        {
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          queue_.push_back(std::move(job));
-        }
-        queue_cv_.notify_one();
-        continue;
-      }
-      if (closed) {
-        close_conn(i);  // EOF before a complete frame
-      }
-    }
-  }
-  for (const Connection& conn : conns) {
-    ::close(conn.fd);
-  }
+  ::close(epoll_fd_);
+  ::close(stop_fd_);
 }
 
 void ShardServer::worker_loop() {
-  while (true) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock,
-                     [this] { return !running_.load() || !queue_.empty(); });
-      if (!running_.load() && queue_.empty()) {
-        return;
-      }
-      job = std::move(queue_.front());
-      queue_.pop_front();
+  while (running_.load()) {
+    epoll_event ev = {};
+    const int ready = ::epoll_wait(epoll_fd_, &ev, 1, -1);
+    if (ready <= 0 || ev.data.ptr == &stop_fd_) {
+      continue;  // EINTR, or stop(): the loop condition decides
     }
-    serve(job);
+    if (ev.data.ptr == nullptr) {
+      accept_ready();
+      continue;
+    }
+    Connection& conn = *static_cast<Connection*>(ev.data.ptr);
+    bool open = false;
+    {
+      // One-shot arming already makes this worker the connection's only
+      // owner; the lock (held across the re-arm) states that hand-off in
+      // a form ThreadSanitizer sees, as it does not model epoll re-arms.
+      std::lock_guard<std::mutex> lock(conn.mu);
+      open = read_ready(conn) &&
+             arm_oneshot(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &conn);
+    }
+    if (!open) {
+      close_connection(conn);
+    }
   }
 }
 
-void ShardServer::serve(const Job& job) {
+void ShardServer::accept_ready() {
+  while (true) {
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      break;  // EAGAIN: the backlog is drained
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    auto conn = std::make_unique<Connection>();
+    conn->fd = fd;
+    Connection* tag = conn.get();
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      conns_.emplace(fd, std::move(conn));
+    }
+    counters_.connections_accepted.fetch_add(1);
+    // Registered last: from here another worker may already own it.
+    (void)arm_oneshot(epoll_fd_, EPOLL_CTL_ADD, fd, tag);
+  }
+  (void)arm_oneshot(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, nullptr);
+}
+
+bool ShardServer::read_ready(Connection& conn) {
+  // Drain the socket, answering each frame as soon as it is complete, so
+  // a peer that writes two frames back to back gets two ordered replies.
+  std::size_t offset = 0;
+  bool eof = false;
+  while (true) {
+    const DecodedFrame frame =
+        try_decode_frame(std::string_view(conn.buffer).substr(offset));
+    if (frame.status == DecodeStatus::kCorrupt) {
+      counters_.corrupt_requests.fetch_add(1);
+      const std::string reply = encode_frame(
+          {FrameType::kError, 0, 1},
+          encode_error_payload(u::Status::data_loss(frame.error)));
+      (void)send_all(conn.fd, reply, Deadline(100.0));
+      return false;
+    }
+    if (frame.status == DecodeStatus::kFrame) {
+      if (!serve(conn.fd, frame.ctx, frame.payload)) {
+        return false;
+      }
+      offset += frame.consumed;
+      continue;
+    }
+    if (eof) {
+      return false;  // EOF, possibly mid-frame
+    }
+    if (offset > 0) {
+      conn.buffer.erase(0, offset);
+      offset = 0;
+    }
+    char chunk[16384];
+    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      conn.buffer.append(chunk, static_cast<std::size_t>(n));
+    } else if (n == 0 || (errno != EINTR && errno != EAGAIN &&
+                          errno != EWOULDBLOCK)) {
+      eof = true;
+    } else if (errno != EINTR) {
+      break;  // drained: wait for the next event
+    }
+  }
+  if (conn.buffer.empty() && conn.buffer.capacity() > (64u << 10)) {
+    std::string().swap(conn.buffer);  // one large frame must not stay resident
+  }
+  return true;
+}
+
+void ShardServer::close_connection(Connection& conn) {
+  // Unmap before close: once the fd is closed, accept may reuse its number.
+  const int fd = conn.fd;
+  std::unique_ptr<Connection> owned;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    const auto it = conns_.find(fd);
+    owned = std::move(it->second);
+    conns_.erase(it);
+  }
+  ::close(fd);  // also drops it from the epoll set
+}
+
+bool ShardServer::serve(int fd, const FrameContext& ctx,
+                        std::string_view payload) {
   const Deadline write_deadline(2000.0);
-  const auto reply_and_close = [&](const std::string& frame) {
-    (void)send_all(job.fd, frame, write_deadline);
-    ::close(job.fd);
-  };
-  if (job.ctx.type == FrameType::kPing) {
-    FrameContext pong = job.ctx;
+  if (ctx.type == FrameType::kPing) {
+    FrameContext pong = ctx;
     pong.type = FrameType::kPong;
     pong.trace = 0;  // replies carry no extension
-    reply_and_close(encode_frame(pong, {}));
-    return;
+    return send_all(fd, encode_frame(pong, {}), write_deadline).ok();
   }
   // Socket-layer fault injection: the *decision* is the shared keyed draw
   // (identical to the in-process transport's), the *manifestation* is a
@@ -353,25 +357,29 @@ void ShardServer::serve(const Job& job) {
   u::NetFaultKind kind = u::NetFaultKind::kConnectRefused;
   {
     std::lock_guard<std::mutex> lock(injector_mu_);
-    fail = injector_->would_fail(job.ctx.shard,
-                                 static_cast<int>(job.ctx.attempt));
+    fail = injector_->would_fail(ctx.shard, static_cast<int>(ctx.attempt));
     if (fail) {
-      kind = injector_->net_fault_kind(job.ctx.shard,
-                                       static_cast<int>(job.ctx.attempt));
+      kind = injector_->net_fault_kind(ctx.shard,
+                                       static_cast<int>(ctx.attempt));
     }
   }
   if (fail && kind == u::NetFaultKind::kDeadlineExpiry) {
     // Stall past the client's deadline, then answer into the void.  The
-    // client has moved on; the late write fails or is discarded.
+    // client has closed its end; the late write fails or is discarded.
     counters_.injected_delays.fetch_add(1);
     sleep_ms(options_.injected_delay_ms);
   }
-  const u::Result<std::string> result = handler_(job.ctx, job.payload);
-  FrameContext reply_ctx = job.ctx;
+  bool threw = false;
+  const u::Result<std::string> result =
+      detail::invoke_handler(handler_, ctx, payload, threw);
+  if (threw) {
+    counters_.handler_errors.fetch_add(1);
+  }
+  FrameContext reply_ctx = ctx;
   reply_ctx.trace = 0;  // replies carry no extension; the request id did
   std::string frame;
   if (result.ok()) {
-    reply_ctx.type = reply_frame_type(job.ctx.type);
+    reply_ctx.type = reply_frame_type(ctx.type);
     frame = encode_frame(reply_ctx, result.value());
     counters_.requests_served.fetch_add(1);
     if (fbf::telemetry::enabled()) {
@@ -389,12 +397,11 @@ void ShardServer::serve(const Job& job) {
     frame = encode_frame(reply_ctx, encode_error_payload(result.status()));
   }
   if (fail && kind == u::NetFaultKind::kMidFrameDisconnect) {
-    // A real mid-frame cut: ship half the frame, then RST via close.
+    // A real mid-frame cut: ship half the frame, then close.
     counters_.injected_disconnects.fetch_add(1);
     const std::string_view half(frame.data(), frame.size() / 2);
-    (void)send_all(job.fd, half, write_deadline);
-    ::close(job.fd);
-    return;
+    (void)send_all(fd, half, write_deadline);
+    return false;
   }
   if (fail && kind == u::NetFaultKind::kGarbledFrame) {
     // Flip one payload byte; the client's checksum must reject the frame.
@@ -404,14 +411,14 @@ void ShardServer::serve(const Job& job) {
       const std::size_t offset =
           kFrameHeaderBytes +
           static_cast<std::size_t>(
-              (static_cast<std::uint64_t>(job.ctx.shard) * 1000003ull +
-               job.ctx.attempt) %
+              (static_cast<std::uint64_t>(ctx.shard) * 1000003ull +
+               ctx.attempt) %
               span);
       frame[offset] = static_cast<char>(
           static_cast<unsigned char>(frame[offset]) ^ 0x40u);
     }
   }
-  reply_and_close(frame);
+  return send_all(fd, frame, write_deadline).ok();
 }
 
 // --- TcpTransport ------------------------------------------------------
@@ -434,25 +441,32 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
 }
 
 TcpTransport::~TcpTransport() {
-  if (dead_fd_ >= 0) {
-    ::close(dead_fd_);
+  for (const int fd : {conn_fd_, dead_fd_}) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
   }
 }
 
 u::Result<std::string> TcpTransport::call_once(const FrameContext& ctx,
                                                std::string_view request,
-                                               std::uint16_t port,
-                                               double deadline_ms) {
-  const Deadline deadline(deadline_ms);
+                                               bool refuse) {
+  const Deadline deadline(options_.deadline_ms);
+  // The call owns the kept connection while it runs and hands it back
+  // only after a clean reply, so every failure path below just closes
+  // `fd`.  An injected refusal connects afresh to the dead port and
+  // leaves the kept connection alone.
+  int fd = refuse ? -1 : std::exchange(conn_fd_, -1);
   // Connect, retrying only genuine transient failures (backlog overflow)
   // under the shared RetryPolicy.  Injected refusals target a dead port,
   // so they burn these attempts instantly and still fail — the driver's
   // per-attempt accounting stays transport-independent.
-  int fd = -1;
   u::Status last = u::Status::unavailable("connect(): no attempt made");
-  for (int attempt = 1; attempt <= options_.connect_retry.bounded_attempts();
+  for (int attempt = 1;
+       fd < 0 && attempt <= options_.connect_retry.bounded_attempts();
        ++attempt) {
-    u::Result<int> conn = connect_loopback(port, deadline);
+    u::Result<int> conn =
+        connect_loopback(refuse ? dead_port_ : options_.port, deadline);
     if (conn.ok()) {
       fd = conn.value();
       break;
@@ -483,7 +497,11 @@ u::Result<std::string> TcpTransport::call_once(const FrameContext& ctx,
     }
     if (reply.status == DecodeStatus::kFrame) {
       std::string payload(reply.payload);
-      ::close(fd);
+      if (!refuse && reply.consumed == buffer.size()) {
+        conn_fd_ = fd;  // clean and fully consumed: keep it for the next call
+      } else {
+        ::close(fd);
+      }
       if (reply.ctx.type == FrameType::kError ||
           reply.ctx.type == FrameType::kOverloaded) {
         return decode_error_payload(payload);
@@ -491,6 +509,7 @@ u::Result<std::string> TcpTransport::call_once(const FrameContext& ctx,
       return payload;
     }
     if (deadline.expired()) {
+      // The late reply may still arrive: it must die with this socket.
       ::close(fd);
       return u::Status::unavailable("deadline expired awaiting reply");
     }
@@ -537,16 +556,14 @@ u::Result<std::string> TcpTransport::call(std::size_t shard, int attempt,
     ctx.trace = fbf::telemetry::derive_trace_id(
         static_cast<std::uint16_t>(type), request);
   }
-  std::uint16_t port = options_.port;
   const int attempt_key = static_cast<int>(ctx.attempt);
-  if (injector_->shard_attempt_fails(shard, attempt_key) &&
-      injector_->net_fault_kind(shard, attempt_key) ==
-          u::NetFaultKind::kConnectRefused &&
-      dead_port_ != 0) {
-    port = dead_port_;  // nobody listens here: a real ECONNREFUSED
-  }
-  u::Result<std::string> result =
-      call_once(ctx, request, port, options_.deadline_ms);
+  // Nobody listens on the dead port: connecting there is a real
+  // ECONNREFUSED.
+  const bool refuse = injector_->shard_attempt_fails(shard, attempt_key) &&
+                      injector_->net_fault_kind(shard, attempt_key) ==
+                          u::NetFaultKind::kConnectRefused &&
+                      dead_port_ != 0;
+  u::Result<std::string> result = call_once(ctx, request, refuse);
   if (result.ok()) {
     ++stats_.ok;
     if (fbf::telemetry::enabled()) {

@@ -19,6 +19,7 @@
 // independent — the equivalence property tests assert exactly that.
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <optional>
 #include <string>
@@ -117,6 +118,31 @@ struct NetTelemetry {
   return cached;
 }
 
+/// Runs `handler`, containing any exception it throws: the request fails
+/// with kFailedPrecondition (which fbf::Client does not retry), `threw`
+/// is set and net.server.handler_errors counts it.  A throwing handler
+/// fails its one request, never the serving process.
+[[nodiscard]] inline fbf::util::Result<std::string> invoke_handler(
+    const ShardHandler& handler, const FrameContext& ctx,
+    std::string_view payload, bool& threw) {
+  std::string what;
+  try {
+    return handler(ctx, payload);
+  } catch (const std::exception& e) {
+    what = e.what();
+  } catch (...) {
+    what = "unknown exception";
+  }
+  threw = true;
+  if (telemetry::enabled()) {
+    telemetry::Registry::global()
+        .counter("net.server.handler_errors")
+        .increment();
+  }
+  return fbf::util::Status::failed_precondition("request handler threw: " +
+                                                what);
+}
+
 /// Client-side delivery span for a traced request (no-op when untraced).
 inline void record_call_span(std::uint64_t trace, std::size_t shard,
                              int attempt, bool ok) {
@@ -203,7 +229,9 @@ class InProcessTransport final : public ShardTransport {
     ctx.shard = static_cast<std::uint32_t>(shard);
     ctx.attempt = attempt > 0 ? static_cast<std::uint32_t>(attempt) : 1u;
     ctx.trace = trace;
-    fbf::util::Result<std::string> reply = handler_(ctx, request);
+    bool threw = false;
+    fbf::util::Result<std::string> reply =
+        detail::invoke_handler(handler_, ctx, request, threw);
     if (reply.ok()) {
       ++stats_.ok;
       if (telemetry::enabled()) {

@@ -2,7 +2,9 @@
 // against the same service state returns fingerprint-equal responses
 // from the in-process and TCP backends — under fault injection included,
 // because retries re-deliver until a clean attempt lands.
+#include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -135,6 +137,33 @@ TEST(ServeClient, BackendsStayEquivalentUnderFaultInjection) {
   EXPECT_GT(tcp_transport->stats().total_failures(), 0u);
   EXPECT_EQ(in_process_transport->stats().total_failures(),
             tcp_transport->stats().total_failures());
+}
+
+TEST(ServeClient, HandlerExceptionIsNotRetried) {
+  // A handler that throws is an application verdict, not a delivery
+  // failure: both backends return the same status once, no retry.
+  std::atomic<int> calls{0};
+  const fbf::net::ShardHandler handler =
+      [&calls](const fbf::net::FrameContext&,
+               std::string_view) -> u::Result<std::string> {
+    ++calls;
+    throw std::length_error("payload too large to decode");
+  };
+  fbf::net::ShardServer server(handler);
+  fbf::net::TcpTransportOptions transport_options;
+  transport_options.port = server.port();
+  const std::vector<std::shared_ptr<fbf::net::ShardTransport>> transports = {
+      std::make_shared<fbf::net::InProcessTransport>(handler),
+      std::make_shared<fbf::net::TcpTransport>(transport_options)};
+  for (const auto& transport : transports) {
+    calls = 0;
+    fbf::Client client(transport);  // max_attempts = 3
+    const u::Result<fbf::MatchResponse> reply = client.match_string("abc");
+    ASSERT_FALSE(reply.ok()) << transport->name();
+    EXPECT_EQ(reply.status().code(), u::StatusCode::kFailedPrecondition)
+        << transport->name();
+    EXPECT_EQ(calls.load(), 1) << transport->name();
+  }
 }
 
 TEST(ServeClient, IngestAndAdminWorkOverBothBackends) {

@@ -1,21 +1,32 @@
 // Transport-layer tests: the in-process reference transport, the real
-// TCP path (server event loop + frame protocol + deadlines), each
-// injected fault kind manifesting as a real socket failure, and the
-// headline property — link_elastic produces identical decisions and
-// counters over InProcessTransport and TcpTransport for the same fault
-// seed.
+// TCP path (epoll workers + kept-alive connections + frame protocol +
+// deadlines), each injected fault kind manifesting as a real socket
+// failure, hostile raw-socket peers, and the headline property —
+// link_elastic produces identical decisions and counters over
+// InProcessTransport and TcpTransport for the same fault seed.
 #include "net/transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/elastic.hpp"
 #include "cluster/service.hpp"
 #include "linkage/person_gen.hpp"
 #include "net/tcp.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
@@ -30,6 +41,98 @@ net::ShardHandler echo_handler() {
   return [](const net::FrameContext&, std::string_view payload) {
     return u::Result<std::string>(std::string(payload));
   };
+}
+
+/// Echoes every payload except "boom", on which it throws.
+net::ShardHandler throw_on_boom_handler() {
+  return [](const net::FrameContext&,
+            std::string_view payload) -> u::Result<std::string> {
+    if (payload == "boom") {
+      throw std::runtime_error("handler exploded");
+    }
+    return std::string(payload);
+  };
+}
+
+/// A blocking loopback socket driven by hand, to play the peers a
+/// TcpTransport never is: half a frame, two frames at once, corruption.
+class RawPeer {
+ public:
+  explicit RawPeer(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = fd_ >= 0 &&
+                 ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+    const timeval timeout = {2, 0};  // a missing reply fails, not hangs
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  ~RawPeer() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  [[nodiscard]] bool connected() const { return connected_; }
+
+  bool send(std::string_view bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// The next whole frame the server sent, or nullopt on EOF, timeout or
+  /// corruption.
+  std::optional<std::pair<net::FrameContext, std::string>> read_frame() {
+    while (true) {
+      const net::DecodedFrame frame = net::try_decode_frame(buffer_);
+      if (frame.status == net::DecodeStatus::kCorrupt) {
+        return std::nullopt;
+      }
+      if (frame.status == net::DecodeStatus::kFrame) {
+        std::pair<net::FrameContext, std::string> out{
+            frame.ctx, std::string(frame.payload)};
+        buffer_.erase(0, frame.consumed);
+        return out;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) {
+        return std::nullopt;
+      }
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+  /// True when the server closed its end (and sent nothing more).
+  bool at_eof() {
+    char c = 0;
+    return buffer_.empty() && ::recv(fd_, &c, 1, 0) == 0;
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+  std::string buffer_;
+};
+
+std::string request_frame(std::string_view payload) {
+  return net::encode_frame({net::FrameType::kLinkRequest, 0, 1}, payload);
+}
+
+/// The first attempt in 1..128 whose kind draw for shard 0 is `kind`.
+int first_attempt_of_kind(const u::FaultConfig& faults, u::NetFaultKind kind) {
+  const u::FaultInjector probe(faults);
+  for (int a = 1; a <= 128; ++a) {
+    if (probe.net_fault_kind(0, a) == kind) {
+      return a;
+    }
+  }
+  return -1;
 }
 
 // --- in-process transport ----------------------------------------------
@@ -56,6 +159,19 @@ TEST(InProcessTransport, InjectedFaultFailsTheAttempt) {
   net::InProcessTransport transport(echo_handler(), faults);
   EXPECT_FALSE(transport.call(1, 1, net::FrameType::kLinkRequest, "x").ok());
   EXPECT_TRUE(transport.call(0, 1, net::FrameType::kLinkRequest, "x").ok());
+}
+
+TEST(InProcessTransport, HandlerExceptionBecomesAnErrorStatus) {
+  net::InProcessTransport transport(throw_on_boom_handler());
+  const auto failed =
+      transport.call(0, 1, net::FrameType::kLinkRequest, "boom");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), u::StatusCode::kFailedPrecondition);
+  EXPECT_NE(failed.status().message().find("handler exploded"),
+            std::string::npos);
+  const auto next = transport.call(0, 1, net::FrameType::kLinkRequest, "ok");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value(), "ok");
 }
 
 // --- TCP transport ------------------------------------------------------
@@ -88,6 +204,25 @@ TEST(TcpTransport, HandlerErrorComesBackAsStatus) {
   EXPECT_EQ(reply.status().code(), u::StatusCode::kInvalidArgument);
   EXPECT_NE(reply.status().message().find("bad request shape"),
             std::string::npos);
+}
+
+TEST(TcpTransport, HandlerExceptionGetsAnErrorAndServingContinues) {
+  // An exception escaping the handler must fail that one request with
+  // the in-process transport's status, not take the server down.
+  net::ShardServer server(throw_on_boom_handler());
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  net::TcpTransport transport(opts);
+  const auto failed =
+      transport.call(0, 1, net::FrameType::kLinkRequest, "boom");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), u::StatusCode::kFailedPrecondition);
+  EXPECT_NE(failed.status().message().find("handler exploded"),
+            std::string::npos);
+  const auto next =
+      transport.call(0, 1, net::FrameType::kLinkRequest, "still serving");
+  ASSERT_TRUE(next.ok()) << next.status().to_string();
+  EXPECT_EQ(next.value(), "still serving");
 }
 
 TEST(TcpTransport, ConnectToDeadPortIsRefused) {
@@ -170,6 +305,174 @@ TEST(TcpTransport, EachServerFaultKindManifests) {
   EXPECT_EQ(transport.stats().deadline_expired, 1u)
       << late.status().to_string();
   EXPECT_GE(server.counters().injected_delays.load(), 1u);
+}
+
+TEST(TcpTransport, HandlerErrorsAreCounted) {
+  net::ShardServer server(throw_on_boom_handler());
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  net::TcpTransport transport(opts);
+  auto& counter =
+      fbf::telemetry::Registry::global().counter("net.server.handler_errors");
+  const std::uint64_t before = counter.value();
+  ASSERT_FALSE(transport.call(0, 1, net::FrameType::kLinkRequest, "boom").ok());
+  ASSERT_FALSE(transport.call(0, 1, net::FrameType::kLinkRequest, "boom").ok());
+  ASSERT_TRUE(transport.call(0, 1, net::FrameType::kLinkRequest, "x").ok());
+  EXPECT_EQ(server.counters().handler_errors.load(), 2u);
+  EXPECT_EQ(server.counters().requests_served.load(), 1u);
+  if (fbf::telemetry::enabled()) {
+    EXPECT_EQ(counter.value() - before, 2u);
+  }
+}
+
+// --- kept-alive connections ----------------------------------------------
+
+TEST(TcpTransport, FaultFreeCallsShareOneConnection) {
+  net::ShardServer server(echo_handler());
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  net::TcpTransport transport(opts);
+  for (int i = 0; i < 100; ++i) {
+    const std::string payload = "call " + std::to_string(i);
+    const auto reply =
+        transport.call(0, 1, net::FrameType::kLinkRequest, payload);
+    ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+    ASSERT_EQ(reply.value(), payload);
+  }
+  EXPECT_EQ(server.counters().connections_accepted.load(), 1u);
+  EXPECT_EQ(server.counters().requests_served.load(), 100u);
+}
+
+// A faulted attempt drops the kept connection, so no byte of it — a half
+// frame, a garbled frame, a reply stalled past the deadline — can be read
+// as the next call's reply.
+TEST(TcpTransport, NextCallAfterEachServerFaultGetsItsOwnReply) {
+  u::FaultConfig faults;
+  faults.fail_shard = 0;  // shard 0 fails every attempt; shard 1 never
+  faults.seed = 31;
+  net::ShardServerOptions server_opts;
+  server_opts.faults = faults;
+  server_opts.injected_delay_ms = 300.0;
+  net::ShardServer server(echo_handler(), server_opts);
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  opts.faults = faults;
+  opts.deadline_ms = 100.0;  // < injected_delay_ms so the stall expires it
+  net::TcpTransport transport(opts);
+
+  int call = 0;
+  const auto expect_own_reply = [&](const char* after) {
+    const std::string payload = "call " + std::to_string(++call);
+    const auto reply =
+        transport.call(1, 1, net::FrameType::kLinkRequest, payload);
+    ASSERT_TRUE(reply.ok()) << after << ": " << reply.status().to_string();
+    EXPECT_EQ(reply.value(), payload) << after;
+  };
+  expect_own_reply("warm-up");
+  for (const u::NetFaultKind kind : {u::NetFaultKind::kMidFrameDisconnect,
+                                     u::NetFaultKind::kGarbledFrame,
+                                     u::NetFaultKind::kDeadlineExpiry}) {
+    const int attempt = first_attempt_of_kind(faults, kind);
+    ASSERT_GT(attempt, 0);
+    ASSERT_FALSE(
+        transport.call(0, attempt, net::FrameType::kLinkRequest, "faulted")
+            .ok());
+    expect_own_reply("the faulted call");
+  }
+  EXPECT_EQ(transport.stats().total_failures(), 3u);
+  EXPECT_EQ(server.counters().injected_disconnects.load(), 1u);
+  EXPECT_EQ(server.counters().injected_garbles.load(), 1u);
+  EXPECT_EQ(server.counters().injected_delays.load(), 1u);
+  // The stalled reply is written once its delay has passed; it must die
+  // with the connection the failed call closed.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  expect_own_reply("the stalled reply's delay");
+  EXPECT_EQ(transport.stats().ok, static_cast<std::uint64_t>(call));
+}
+
+// --- hostile peers and shutdown (one worker: nothing may hold it) ---------
+
+net::ShardServerOptions one_worker() {
+  net::ShardServerOptions options;
+  options.workers = 1;
+  return options;
+}
+
+TEST(TcpServer, HalfAFrameDoesNotHoldTheWorker) {
+  net::ShardServer server(echo_handler(), one_worker());
+  RawPeer stalled(server.port());
+  ASSERT_TRUE(stalled.connected());
+  const std::string frame = request_frame("never finished");
+  ASSERT_TRUE(stalled.send(std::string_view(frame).substr(0, frame.size() / 2)));
+  net::TcpTransportOptions opts;
+  opts.port = server.port();
+  opts.deadline_ms = 1000.0;
+  net::TcpTransport transport(opts);
+  const auto reply = transport.call(0, 1, net::FrameType::kLinkRequest, "x");
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+  EXPECT_EQ(reply.value(), "x");
+  // The stalled peer's bytes were kept: finishing its frame answers it.
+  ASSERT_TRUE(stalled.send(std::string_view(frame).substr(frame.size() / 2)));
+  const auto late = stalled.read_frame();
+  ASSERT_TRUE(late.has_value());
+  EXPECT_EQ(late->second, "never finished");
+}
+
+TEST(TcpServer, BackToBackFramesGetOrderedReplies) {
+  net::ShardServer server(echo_handler(), one_worker());
+  RawPeer peer(server.port());
+  ASSERT_TRUE(peer.connected());
+  ASSERT_TRUE(peer.send(request_frame("first") + request_frame("second")));
+  for (const char* expected : {"first", "second"}) {
+    const auto reply = peer.read_frame();
+    ASSERT_TRUE(reply.has_value()) << expected;
+    EXPECT_EQ(reply->first.type, net::FrameType::kLinkReply);
+    EXPECT_EQ(reply->second, expected);
+  }
+  EXPECT_EQ(server.counters().requests_served.load(), 2u);
+}
+
+TEST(TcpServer, CorruptFrameOnAKeptConnectionGetsAnErrorThenAClose) {
+  net::ShardServer server(echo_handler(), one_worker());
+  RawPeer peer(server.port());
+  ASSERT_TRUE(peer.connected());
+  ASSERT_TRUE(peer.send(request_frame("fine")));
+  const auto ok = peer.read_frame();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->second, "fine");
+  std::string corrupt = request_frame("flipped");
+  corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);
+  ASSERT_TRUE(peer.send(corrupt));
+  const auto error = peer.read_frame();
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->first.type, net::FrameType::kError);
+  EXPECT_TRUE(peer.at_eof());
+  EXPECT_EQ(server.counters().corrupt_requests.load(), 1u);
+}
+
+TEST(TcpServer, StopFailsTheNextCallPromptlyAndJoinsEveryWorker) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    net::ShardServerOptions server_opts;
+    server_opts.workers = workers;
+    net::ShardServer server(echo_handler(), server_opts);
+    net::TcpTransportOptions opts;
+    opts.port = server.port();
+    net::TcpTransport transport(opts);
+    ASSERT_TRUE(transport.call(0, 1, net::FrameType::kLinkRequest, "x").ok());
+    // stop() returns only once every worker left epoll_wait and joined.
+    server.stop();
+    const auto start = std::chrono::steady_clock::now();
+    const auto reply = transport.call(0, 1, net::FrameType::kLinkRequest, "x");
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    EXPECT_FALSE(reply.ok()) << workers << " workers";
+    EXPECT_LT(ms, 500.0) << workers << " workers";
+    EXPECT_EQ(transport.stats().calls, 2u);
+    EXPECT_EQ(transport.stats().total_failures(), 1u)
+        << reply.status().to_string();
+    server.stop();  // idempotent
+  }
 }
 
 // --- per-kind delivery stats --------------------------------------------

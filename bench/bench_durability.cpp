@@ -1,13 +1,14 @@
-// Durability cost model (DESIGN.md §11): what a checkpoint costs as the
-// store grows, what a *delta* checkpoint costs instead (O(changes), the
-// point of the manifest/delta chain), what group-commit does to journal
-// sync cost, and that recovery from base+delta reproduces entity ids
-// exactly.  Feeds BENCH_durability.json.
+// Durability cost model (DESIGN.md §11): what a full checkpoint (the
+// segment from record 0) costs as the store grows, what an incremental
+// one (a segment of the newest records only) costs instead — O(changes),
+// the point of the segment chain — what group-commit does to journal
+// sync cost, and that recovery from a two-segment chain reproduces
+// entity ids exactly.  Feeds BENCH_durability.json.
 //
 // Stores are built with EntityStore::restore (identity entity ids), not
 // ingest, so the numbers isolate the durability layer from matching.
 //
-//   --delta D   records in the delta segment (default n/100)
+//   --delta D   records in the incremental segment (default n/100)
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
@@ -106,9 +107,10 @@ int main(int argc, char** argv) {
     const auto store = prefix_store(comparator, people, m);
     CheckpointCost cost;
     cost.records = m;
-    cost.bytes = encode_snapshot(store, 1).size();
+    cost.bytes = encode_segment(store, 0, 0, 1).size();
     cost.ms = best_ms(opts.config.repeats, [&] {
-      if (!write_snapshot(*backend, policy.base_ref(1), store, 1).ok()) {
+      const auto bytes = encode_segment(store, 0, 0, 1);
+      if (!backend->put(policy.segment_ref(0, 1), bytes).ok()) {
         std::fprintf(stderr, "full checkpoint failed\n");
         std::exit(1);
       }
@@ -121,10 +123,10 @@ int main(int argc, char** argv) {
   delta_cost.records = delta_records;
   {
     const std::size_t from = n - delta_records;
-    delta_cost.bytes = encode_delta(full, from, 1, 2).size();
+    delta_cost.bytes = encode_segment(full, from, 1, 2).size();
     delta_cost.ms = best_ms(opts.config.repeats, [&] {
-      const auto bytes = encode_delta(full, from, 1, 2);
-      if (!backend->put(policy.delta_ref(1, 2), bytes).ok()) {
+      const auto bytes = encode_segment(full, from, 1, 2);
+      if (!backend->put(policy.segment_ref(1, 2), bytes).ok()) {
         std::fprintf(stderr, "delta checkpoint failed\n");
         std::exit(1);
       }
@@ -181,24 +183,25 @@ int main(int argc, char** argv) {
     journal_runs.push_back(run);
   }
 
-  // --- recovery identity: base + delta chain vs the live store. --------
-  // Install base-1.snap (first n-delta records), delta-1-2.seg (the
-  // suffix) and a manifest naming both, then recover and compare ids.
-  const std::size_t base_records = n - delta_records;
-  const auto base_store = prefix_store(comparator, people, base_records);
-  if (!write_snapshot(*backend, policy.base_ref(1), base_store, 1).ok() ||
-      !backend->put(policy.delta_ref(1, 2),
-                    encode_delta(full, base_records, 1, 2))
+  // --- recovery identity: a two-segment chain vs the live store. -------
+  // Install seg-0-1 (the first n-delta records), seg-1-2 (the suffix)
+  // and a manifest naming both, then recover and compare ids.
+  const std::size_t first_records = n - delta_records;
+  const auto first_store = prefix_store(comparator, people, first_records);
+  if (!backend->put(policy.segment_ref(0, 1),
+                    encode_segment(first_store, 0, 0, 1))
+           .ok() ||
+      !backend->put(policy.segment_ref(1, 2),
+                    encode_segment(full, first_records, 1, 2))
            .ok()) {
     std::fprintf(stderr, "chain install failed\n");
     return 1;
   }
   lk::SnapshotManifest manifest;
-  manifest.base_blob = policy.base_ref(1).name;
-  manifest.base_batches = 1;
-  manifest.base_records = base_records;
-  manifest.deltas.push_back({policy.delta_ref(1, 2).name, 1, 2, base_records,
-                             n});
+  manifest.segments.push_back(
+      {policy.segment_ref(0, 1).name, 0, 1, 0, first_records});
+  manifest.segments.push_back(
+      {policy.segment_ref(1, 2).name, 1, 2, first_records, n});
   if (!backend->put(policy.manifest_ref(), encode_manifest(manifest)).ok()) {
     std::fprintf(stderr, "manifest install failed\n");
     return 1;
@@ -249,9 +252,7 @@ int main(int argc, char** argv) {
                 << (i + 1 < journal_runs.size() ? "," : "") << "\n";
     }
     std::cout << "  ]},\n  \"recovery\": {\"ms\": " << chain_recover_ms
-              << ", \"deltas_applied\": " << chain_report.deltas_applied
-              << ", \"snapshot_loaded\": "
-              << (chain_report.snapshot_loaded ? "true" : "false")
+              << ", \"segments_applied\": " << chain_report.segments_applied
               << ", \"entity_ids_match\": " << (ids_match ? "true" : "false")
               << "}\n}\n";
   } else {
@@ -284,9 +285,9 @@ int main(int argc, char** argv) {
       std::printf("\nJournal group commit (%zu frames of %zu records)\n",
                   kFrames, frame_records);
       journal.render(std::cout);
-      std::printf("\nRecovery from base+delta chain: %.1f ms, %zu delta "
-                  "applied, entity ids %s\n",
-                  chain_recover_ms, chain_report.deltas_applied,
+      std::printf("\nRecovery from a two-segment chain: %.1f ms, %zu "
+                  "segments applied, entity ids %s\n",
+                  chain_recover_ms, chain_report.segments_applied,
                   ids_match ? "MATCH" : "MISMATCH");
     }
   }

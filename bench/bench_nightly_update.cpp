@@ -96,10 +96,9 @@ void run_crash_recovery(const std::vector<fbf::linkage::PersonRecord>& master,
                  u::with_commas(static_cast<std::int64_t>(crash_after + 1))});
   table.add_row({"checkpoint every",
                  u::with_commas(static_cast<std::int64_t>(checkpoint_every))});
-  table.add_row({"snapshot loaded", report->snapshot_loaded ? "yes" : "no"});
-  table.add_row({"deltas applied",
+  table.add_row({"segments applied",
                  u::with_commas(static_cast<std::int64_t>(
-                     report->deltas_applied))});
+                     report->segments_applied))});
   table.add_row({"journal batches replayed",
                  u::with_commas(static_cast<std::int64_t>(
                      report->journal_batches_replayed))});

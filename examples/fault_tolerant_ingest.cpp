@@ -1,10 +1,10 @@
 // Fault-tolerant ingest walkthrough — the durability layer end to end:
 //
 //   1. ingest nightly batches through DurableEntityStore on a
-//      LocalDirBackend (write-ahead journal + incremental manifest/delta
-//      checkpoints),
+//      LocalDirBackend (write-ahead journal + incremental checkpoint
+//      segments named by a manifest),
 //   2. "crash" mid-run and recover exactly the pre-crash store from
-//      base + deltas + journal replay,
+//      the manifest's segments + journal replay,
 //   3. re-run with injected storage faults (checkpoint corruption) to
 //      show the failure paths degrade instead of losing data.
 //
@@ -89,14 +89,15 @@ int main(int argc, char** argv) {
     }
     std::printf("-- simulated crash after %zu of %zu batches --\n",
                 crash_after, n_batches);
-    std::printf("checkpoints: %llu (%llu deltas), journal syncs: %llu\n",
+    std::printf("checkpoints: %llu (%zu segments in the manifest), journal "
+                "syncs: %llu\n",
                 static_cast<unsigned long long>(store.stats().checkpoints),
-                static_cast<unsigned long long>(store.stats().deltas_written),
+                store.manifest().segments.size(),
                 static_cast<unsigned long long>(store.stats().journal_syncs));
     store.simulate_crash();  // only the backend's blobs survive
   }
 
-  // --- 2. Recovery: manifest -> base -> deltas -> journal replay. -----
+  // --- 2. Recovery: manifest -> segments -> journal replay. ----------
   lk::DurableEntityStore recovered(comparator, backend(), policy);
   const auto report = recovered.recover();
   if (!report.ok()) {
@@ -105,9 +106,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\n=== recovery ===\n");
-  std::printf("snapshot loaded: %s (%zu deltas applied)\n",
-              report.value().snapshot_loaded ? "yes" : "no",
-              report.value().deltas_applied);
+  std::printf("checkpoint segments applied: %zu\n",
+              report.value().segments_applied);
   std::printf("journal batches replayed: %llu (tail bytes dropped: %zu)\n",
               static_cast<unsigned long long>(
                   report.value().journal_batches_replayed),

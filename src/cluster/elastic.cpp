@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "cluster/service.hpp"
+#include "linkage/record_codec.hpp"
 #include "metrics/soundex.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/retry.hpp"
@@ -338,7 +339,7 @@ Result<std::string> ElasticRun::fetch_blob(const Partition& p, NodeId node,
 
 void ElasticRun::write_phase() {
   for (Partition& p : partitions_) {
-    const std::string blob = encode_record_list(p.base);
+    const std::string blob = linkage::wire::encode_record_list(p.base);
     std::size_t acks = 0;
     for (NodeId node : p.assigned) {
       if (install_blob(p, node, /*delta_seq=*/0, blob, kOpWrite)) {
@@ -357,7 +358,7 @@ void ElasticRun::deliver_late(Partition& p) {
     return;
   }
   const std::uint32_t seq = p.delta_count + 1;
-  const std::string blob = encode_record_list(p.late);
+  const std::string blob = linkage::wire::encode_record_list(p.late);
   std::vector<NodeId> consistent;
   for (NodeId node : p.holders) {
     if (install_blob(p, node, seq, blob, kOpDelta)) {

@@ -26,12 +26,6 @@ std::string partition_prefix(NodeId node, std::uint64_t pid) {
   return buf;
 }
 
-std::string node_prefix(NodeId node) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "n%08x/", node);
-  return buf;
-}
-
 std::string manifest_name(NodeId node, std::uint64_t pid) {
   return partition_prefix(node, pid) + "MANIFEST";
 }
@@ -54,37 +48,6 @@ std::uint64_t fold_chain_hash(std::uint64_t h, std::string_view blob) {
 }
 
 }  // namespace
-
-std::string encode_record_list(std::span<const linkage::PersonRecord> records) {
-  std::string out;
-  put<std::uint64_t>(out, records.size());
-  for (const linkage::PersonRecord& r : records) {
-    linkage::wire::put_record(out, r);
-  }
-  return out;
-}
-
-Result<std::vector<linkage::PersonRecord>> decode_record_list(
-    std::string_view blob) {
-  Reader in{blob};
-  std::uint64_t count = 0;
-  if (!in.get_count(count, linkage::wire::kMinRecordBytes)) {
-    return Status::data_loss("record list: truncated count");
-  }
-  std::vector<linkage::PersonRecord> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    linkage::PersonRecord r;
-    if (!linkage::wire::get_record(in, r)) {
-      return Status::data_loss("record list: truncated record");
-    }
-    out.push_back(std::move(r));
-  }
-  if (!in.done()) {
-    return Status::data_loss("record list: trailing bytes");
-  }
-  return out;
-}
 
 std::string encode_replica_write(const ReplicaWrite& msg) {
   std::string out;
@@ -239,7 +202,7 @@ Status ClusterService::rebuild_manifest(NodeId node, std::uint64_t pid) {
   if (!base.ok()) {
     return Status::data_loss("cluster service: base unreadable on rebuild");
   }
-  auto records = decode_record_list(base.value());
+  auto records = linkage::wire::decode_record_list(base.value());
   if (!records.ok()) {
     return Status::data_loss("cluster service: base undecodable on rebuild");
   }
@@ -256,7 +219,7 @@ Status ClusterService::rebuild_manifest(NodeId node, std::uint64_t pid) {
     if (!delta.ok()) {
       return Status::data_loss("cluster service: delta unreadable on rebuild");
     }
-    auto drec = decode_record_list(delta.value());
+    auto drec = linkage::wire::decode_record_list(delta.value());
     if (!drec.ok()) {
       return Status::data_loss("cluster service: delta undecodable on rebuild");
     }
@@ -284,7 +247,7 @@ Result<std::vector<linkage::PersonRecord>> ClusterService::load_chain(
   if (!base.ok()) {
     return Status::data_loss("cluster service: base blob missing");
   }
-  auto records = decode_record_list(base.value());
+  auto records = linkage::wire::decode_record_list(base.value());
   if (!records.ok()) {
     return records.status();
   }
@@ -294,7 +257,7 @@ Result<std::vector<linkage::PersonRecord>> ClusterService::load_chain(
     if (!delta.ok()) {
       return Status::data_loss("cluster service: delta blob missing");
     }
-    auto drec = decode_record_list(delta.value());
+    auto drec = linkage::wire::decode_record_list(delta.value());
     if (!drec.ok()) {
       return drec.status();
     }
@@ -311,7 +274,7 @@ Result<std::string> ClusterService::handle_write(NodeId node,
   }
   // Validate the blob before anything lands: a replica never stores
   // bytes it could not serve.
-  auto records = decode_record_list(msg.value().blob);
+  auto records = linkage::wire::decode_record_list(msg.value().blob);
   if (!records.ok()) {
     return records.status();
   }
@@ -422,20 +385,5 @@ bool ClusterService::node_has_partition(NodeId node, std::uint64_t pid) {
   return found.ok() && found.value();
 }
 
-std::size_t ClusterService::node_partition_count(NodeId node) {
-  const std::scoped_lock lock(mu_);
-  auto blobs = store_.list(node_prefix(node));
-  if (!blobs.ok()) {
-    return 0;
-  }
-  std::size_t count = 0;
-  for (const storage::BlobRef& ref : blobs.value()) {
-    if (ref.name.size() >= 8 &&
-        ref.name.compare(ref.name.size() - 8, 8, "MANIFEST") == 0) {
-      ++count;
-    }
-  }
-  return count;
-}
 
 }  // namespace fbf::cluster

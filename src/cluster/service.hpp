@@ -12,13 +12,16 @@
 // an encoded ShardReply.
 //
 // Node state is not an in-memory map: each partition a node holds lives
-// in a storage::MemObjectBackend as the same manifest/base/delta blob
-// chain the durability layer uses (PR 5), under names scoped by node and
-// partition.  That is what makes live rebalance honest: a migration is a
-// sequence of real blob reads and writes (bulk base, catch-up deltas)
-// with read-back verification, and storage faults (torn writes, acked-
-// then-lost objects) injected at the backend surface as replica write
-// failures the quorum/failover machinery must absorb.
+// in a storage::MemObjectBackend as a blob chain, under names scoped by
+// node and partition.  That is what makes live rebalance honest: a
+// migration is a sequence of real blob reads and writes (bulk base,
+// catch-up deltas) with read-back verification, and storage faults
+// (torn writes, acked-then-lost objects) injected at the backend surface
+// as replica write failures the quorum/failover machinery must absorb.
+// The chain is the cluster's own (a PartitionManifest, a base and
+// numbered deltas); all it shares with the durability layer is the
+// record-list codec (linkage::wire::encode_record_list), which is also
+// the payload of a journal frame.
 //
 //   n<node>/p<pid>/MANIFEST   pid, record count, delta count, chain hash
 //   n<node>/p<pid>/base       encoded record list (the bulk of the state)
@@ -97,11 +100,6 @@ struct PartitionManifest {
                          const PartitionManifest&) = default;
 };
 
-[[nodiscard]] std::string encode_record_list(
-    std::span<const linkage::PersonRecord> records);
-[[nodiscard]] fbf::util::Result<std::vector<linkage::PersonRecord>>
-decode_record_list(std::string_view blob);
-
 [[nodiscard]] std::string encode_replica_write(const ReplicaWrite& msg);
 [[nodiscard]] fbf::util::Result<ReplicaWrite> decode_replica_write(
     std::string_view payload);
@@ -151,13 +149,8 @@ class ClusterService {
     };
   }
 
-  // Test hooks.
+  // Test hook.
   [[nodiscard]] bool node_has_partition(NodeId node, std::uint64_t pid);
-  [[nodiscard]] std::size_t node_partition_count(NodeId node);
-  [[nodiscard]] const fbf::util::FaultCounters& storage_fault_counters()
-      const noexcept {
-    return injector_.counters();
-  }
 
  private:
   [[nodiscard]] fbf::util::Result<std::string> handle_write(

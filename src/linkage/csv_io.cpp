@@ -195,15 +195,6 @@ u::Result<PersonRecord> parse_person_csv_row(const u::CsvRow& row) {
   return r;
 }
 
-const char* csv_repair_kind_name(CsvRepairKind kind) noexcept {
-  switch (kind) {
-    case CsvRepairKind::kNone: return "none";
-    case CsvRepairKind::kDoubledDelimiter: return "doubled_delimiter";
-    case CsvRepairKind::kShiftedColumn: return "shifted_column";
-  }
-  return "?";
-}
-
 CsvRepairKind repair_person_csv_row(const u::CsvRow& row, PersonRecord& out) {
   if (try_repair_doubled_delimiters(row, out)) {
     return CsvRepairKind::kDoubledDelimiter;

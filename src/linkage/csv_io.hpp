@@ -92,8 +92,6 @@ enum class CsvRepairKind : std::uint8_t {
   kShiftedColumn,
 };
 
-[[nodiscard]] const char* csv_repair_kind_name(CsvRepairKind kind) noexcept;
-
 /// Auto-repair triage on one quarantined row: tries the doubled-delimiter
 /// repair, then the shifted-column repair, and reports which family (if
 /// any) produced an unambiguous parse into `out` (see PersonCsvLoad::

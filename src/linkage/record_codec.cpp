@@ -5,6 +5,8 @@
 namespace fbf::linkage::wire {
 
 namespace w = fbf::util::wire;
+using fbf::util::Result;
+using fbf::util::Status;
 
 void put_record(std::string& out, const PersonRecord& r) {
   w::put<std::uint64_t>(out, r.id);
@@ -66,6 +68,36 @@ bool get_signatures(w::Reader& in, RecordSignatures& sigs) {
     }
   }
   return true;
+}
+
+std::string encode_record_list(std::span<const PersonRecord> records) {
+  std::string out;
+  w::put<std::uint64_t>(out, records.size());
+  for (const PersonRecord& r : records) {
+    put_record(out, r);
+  }
+  return out;
+}
+
+Result<std::vector<PersonRecord>> decode_record_list(std::string_view bytes) {
+  w::Reader in{bytes};
+  std::uint64_t count = 0;
+  if (!in.get_count(count, kMinRecordBytes)) {
+    return Status::data_loss("record list: truncated count");
+  }
+  std::vector<PersonRecord> out;
+  out.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    PersonRecord r;
+    if (!get_record(in, r)) {
+      return Status::data_loss("record list: truncated record");
+    }
+    out.push_back(std::move(r));
+  }
+  if (!in.done()) {
+    return Status::data_loss("record list: trailing bytes");
+  }
+  return out;
 }
 
 }  // namespace fbf::linkage::wire

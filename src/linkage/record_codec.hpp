@@ -1,15 +1,20 @@
-// PersonRecord / RecordSignatures byte codec, shared by the snapshot +
-// journal files (durability) and the shard link protocol (networking).
+// PersonRecord / RecordSignatures byte codec, shared by the checkpoint
+// segments and journal (durability) and the shard link and cluster
+// replica protocols (networking).
 // One definition of the record layout means the recovery path and the
 // wire path can never disagree about what a serialized record looks like.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "linkage/record.hpp"
 #include "linkage/record_filter.hpp"
+#include "util/status.hpp"
 #include "util/wire.hpp"
 
 namespace fbf::linkage::wire {
@@ -30,5 +35,14 @@ void put_signatures(std::string& out, const RecordSignatures& sigs);
                                   RecordSignatures& sigs);
 /// Bytes put_signatures(out, sigs) appends.
 [[nodiscard]] std::size_t signatures_size(const RecordSignatures& sigs);
+
+/// A record list: the u64 count, then put_record per record.  It is a
+/// journal frame's payload and a cluster replica blob.
+[[nodiscard]] std::string encode_record_list(
+    std::span<const PersonRecord> records);
+/// kDataLoss on a count the bytes cannot hold, a malformed record or
+/// trailing bytes.
+[[nodiscard]] fbf::util::Result<std::vector<PersonRecord>>
+decode_record_list(std::string_view bytes);
 
 }  // namespace fbf::linkage::wire

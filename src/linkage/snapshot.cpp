@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <iterator>
 #include <set>
 #include <utility>
 
 #include "linkage/record_codec.hpp"
-#include "storage/local_dir.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/wire.hpp"
@@ -20,8 +17,8 @@ namespace u = fbf::util;
 namespace {
 
 // Byte-level encoding (host-endian, length-prefixed) comes from
-// util::wire; the record/signature layout is shared with the network
-// shard protocol via linkage/record_codec.
+// util::wire; the record/signature layout and the journal's record list
+// are shared with the network protocols via linkage/record_codec.
 using fbf::util::wire::put;
 using fbf::util::wire::put_string;
 using fbf::util::wire::Reader;
@@ -30,8 +27,7 @@ using wire::get_signatures;
 using wire::put_record;
 using wire::put_signatures;
 
-constexpr std::uint64_t kSnapshotMagic = 0x31504E5346424600ull;  // "\0FBFSNP1"
-constexpr std::uint64_t kDeltaMagic = 0x31544C4446424600ull;     // "\0FBFDLT1"
+constexpr std::uint64_t kSegmentMagic = 0x3147455346424600ull;   // "\0FBFSEG1"
 constexpr std::uint64_t kManifestMagic = 0x314E414D46424600ull;  // "\0FBFMAN1"
 constexpr std::uint32_t kFrameMagic = 0x4C4E524Au;               // "JRNL"
 // A payload larger than this is structurally implausible for this store
@@ -45,7 +41,7 @@ double steady_ms() {
       .count();
 }
 
-/// Envelope shared by snapshot/delta/manifest blobs: magic, version,
+/// Envelope shared by segment and manifest blobs: magic, version,
 /// payload size, payload checksum.  One writer, one reader — a blob kind
 /// can never disagree with itself about layout.
 constexpr std::size_t kEnvelopeBytes = sizeof(std::uint64_t) +
@@ -111,15 +107,6 @@ u::Result<std::string_view> open_envelope(std::string_view bytes,
   return payload;
 }
 
-std::string encode_batch(std::span<const PersonRecord> batch) {
-  std::string payload;
-  put<std::uint64_t>(payload, batch.size());
-  for (const PersonRecord& r : batch) {
-    put_record(payload, r);
-  }
-  return payload;
-}
-
 /// Bytes put_store_records appends for records [from, store.size()).
 std::size_t store_records_size(const EntityStore& store, std::size_t from,
                                bool has_sigs) {
@@ -133,8 +120,8 @@ std::size_t store_records_size(const EntityStore& store, std::size_t from,
   return bytes;
 }
 
-/// The record body shared by base snapshots and delta segments: each
-/// record, its entity id and (when kept) its signatures.
+/// A segment's record body: each record, its entity id and (when kept)
+/// its signatures.
 void put_store_records(std::string& out, const EntityStore& store,
                        std::size_t from, bool has_sigs) {
   for (std::size_t i = from; i < store.size(); ++i) {
@@ -146,226 +133,144 @@ void put_store_records(std::string& out, const EntityStore& store,
   }
 }
 
-/// A base snapshot's payload header.
-struct SnapshotHeader {
-  std::uint64_t batches_ingested = 0;
-  std::uint32_t entity_total = 0;
-  bool has_sigs = false;
-  std::uint64_t records = 0;
-};
-constexpr std::size_t kSnapshotHeaderBytes =
-    sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(std::uint8_t) +
-    sizeof(std::uint64_t);
 /// from_batches, to_batches, from_record, entity_total, has_sigs, count.
-constexpr std::size_t kDeltaHeaderBytes =
+constexpr std::size_t kSegmentHeaderBytes =
     3 * sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(std::uint8_t) +
     sizeof(std::uint64_t);
 
-/// The one base-snapshot parser, behind decode_snapshot, recovery and
-/// verify_snapshot.  Opens the envelope, hands the header to
-/// `start(header)`, then parses the records in order into buffers it
-/// reuses, handing each to `visit(record, entity, sigs)` (`sigs` is
-/// unset when the base keeps none; visit may move out of both).
-/// kDataLoss on exactly what a load rejects: a bad envelope or checksum,
-/// a malformed header, record or signature block, an entity id >= the
-/// entity total, and trailing bytes.
+/// The one segment parser, behind decode_segment, verify_segment and
+/// recovery.  Opens the envelope, hands the header to `start(header)`,
+/// which may refuse it with a status, then parses the records in order
+/// into buffers it reuses, handing each to `visit(record, entity, sigs)`
+/// (`sigs` is unset when the segment keeps none; visit may move out of
+/// both).  kDataLoss on exactly what a load rejects: a bad envelope or
+/// checksum, a malformed header, record or signature block, an entity id
+/// >= the entity total, and trailing bytes.
 template <typename Start, typename Visit>
-u::Result<SnapshotHeader> parse_snapshot(std::string_view bytes,
-                                         Start&& start, Visit&& visit) {
+u::Result<SegmentHeader> parse_segment(std::string_view bytes, Start&& start,
+                                       Visit&& visit) {
   auto payload =
-      open_envelope(bytes, kSnapshotMagic, kSnapshotVersion, "snapshot");
+      open_envelope(bytes, kSegmentMagic, kSegmentVersion, "segment");
   if (!payload.ok()) {
     return payload.status();
   }
   Reader r{payload.value()};
-  SnapshotHeader header;
+  SegmentHeader header;
   std::uint8_t has_sigs = 0;
-  if (!r.get(header.batches_ingested) || !r.get(header.entity_total) ||
+  if (!r.get(header.from_batches) || !r.get(header.to_batches) ||
+      !r.get(header.from_record) || !r.get(header.entity_total) ||
       !r.get(has_sigs) ||
       !r.get_count(header.records, wire::kMinRecordBytes)) {
-    return u::Status::data_loss("snapshot payload header malformed");
+    return u::Status::data_loss("segment payload header malformed");
   }
   header.has_sigs = has_sigs != 0;
-  start(header);
+  if (u::Status accepted = start(header); !accepted.ok()) {
+    return accepted;
+  }
   PersonRecord rec;
   RecordSignatures sigs;
   for (std::uint64_t i = 0; i < header.records; ++i) {
     std::uint32_t entity = 0;
     if (!get_record(r, rec) || !r.get(entity)) {
-      return u::Status::data_loss("snapshot record " + std::to_string(i) +
+      return u::Status::data_loss("segment record " + std::to_string(i) +
                                   " malformed");
     }
     if (entity >= header.entity_total) {
       return u::Status::data_loss(
-          "snapshot record " + std::to_string(i) + " names entity " +
+          "segment record " + std::to_string(i) + " names entity " +
           std::to_string(entity) + " >= entity total " +
           std::to_string(header.entity_total));
     }
     if (header.has_sigs && !get_signatures(r, sigs)) {
-      return u::Status::data_loss("snapshot signatures " + std::to_string(i) +
+      return u::Status::data_loss("segment signatures " + std::to_string(i) +
                                   " malformed");
     }
     visit(rec, entity, sigs);
   }
   if (!r.done()) {
-    return u::Status::data_loss("snapshot payload has trailing bytes");
+    return u::Status::data_loss("segment payload has trailing bytes");
   }
   return header;
 }
 
-/// The decoded pieces of a base snapshot, before they become a store.
-struct SnapshotParts {
-  std::uint64_t batches_ingested = 0;
-  std::uint32_t entity_total = 0;
-  std::vector<PersonRecord> records;
-  std::vector<std::uint32_t> entity_ids;
-  std::vector<RecordSignatures> signatures;
-};
-
-u::Result<SnapshotParts> decode_snapshot_parts(std::string_view bytes) {
-  SnapshotParts parts;
+/// Parses `bytes` and, once `check(header)` accepts its header, appends
+/// its records, entity ids and (when kept) signatures to `out`.
+template <typename Check>
+u::Result<SegmentHeader> append_segment(std::string_view bytes, Segment& out,
+                                        Check&& check) {
   bool has_sigs = false;
-  auto header = parse_snapshot(
+  return parse_segment(
       bytes,
-      [&](const SnapshotHeader& h) {
-        has_sigs = h.has_sigs;
-        parts.records.reserve(static_cast<std::size_t>(h.records));
-        parts.entity_ids.reserve(static_cast<std::size_t>(h.records));
-        if (has_sigs) {
-          parts.signatures.reserve(static_cast<std::size_t>(h.records));
+      [&](const SegmentHeader& h) {
+        if (u::Status accepted = check(h); !accepted.ok()) {
+          return accepted;
         }
+        has_sigs = h.has_sigs;
+        if (out.records.empty()) {
+          const auto n = static_cast<std::size_t>(h.records);
+          out.records.reserve(n);
+          out.entity_ids.reserve(n);
+          if (has_sigs) {
+            out.signatures.reserve(n);
+          }
+        }
+        return u::Status{};
       },
       [&](PersonRecord& rec, std::uint32_t entity, RecordSignatures& sigs) {
-        parts.records.push_back(std::move(rec));
-        parts.entity_ids.push_back(entity);
+        out.records.push_back(std::move(rec));
+        out.entity_ids.push_back(entity);
         if (has_sigs) {
-          parts.signatures.push_back(sigs);
+          out.signatures.push_back(sigs);
         }
       });
-  if (!header.ok()) {
-    return header.status();
-  }
-  parts.batches_ingested = header->batches_ingested;
-  parts.entity_total = header->entity_total;
-  return parts;
 }
+
+u::Status accept_any(const SegmentHeader&) { return {}; }
 
 }  // namespace
 
-// --- snapshot ----------------------------------------------------------
+// --- segments ----------------------------------------------------------
 
-std::string encode_snapshot(const EntityStore& store,
-                            std::uint64_t batches_ingested) {
+std::string encode_segment(const EntityStore& store, std::size_t from_record,
+                           std::uint64_t from_batches,
+                           std::uint64_t to_batches) {
   const bool has_sigs =
       store.uses_fbf() && store.signatures().size() == store.records().size();
   std::string payload;
-  payload.reserve(kSnapshotHeaderBytes +
-                  store_records_size(store, 0, has_sigs));
-  put<std::uint64_t>(payload, batches_ingested);
-  put<std::uint32_t>(payload, static_cast<std::uint32_t>(store.entity_count()));
-  put<std::uint8_t>(payload, has_sigs ? 1 : 0);
-  put<std::uint64_t>(payload, store.size());
-  put_store_records(payload, store, 0, has_sigs);
-  return seal_envelope(kSnapshotMagic, kSnapshotVersion, payload);
-}
-
-u::Result<std::uint64_t> decode_snapshot(std::string_view bytes,
-                                         EntityStore& store) {
-  auto parts = decode_snapshot_parts(bytes);
-  if (!parts.ok()) {
-    return parts.status();
-  }
-  u::Status restored = store.restore(
-      std::move(parts->records), std::move(parts->entity_ids),
-      parts->entity_total, std::move(parts->signatures));
-  if (!restored.ok()) {
-    return u::Status::data_loss("snapshot inconsistent: " +
-                                restored.message());
-  }
-  return parts->batches_ingested;
-}
-
-u::Result<std::uint64_t> verify_snapshot(std::string_view bytes) {
-  auto header = parse_snapshot(
-      bytes, [](const SnapshotHeader&) {},
-      [](PersonRecord&, std::uint32_t, RecordSignatures&) {});
-  if (!header.ok()) {
-    return header.status();
-  }
-  return header->batches_ingested;
-}
-
-// --- delta segments ----------------------------------------------------
-
-std::string encode_delta(const EntityStore& store, std::size_t from_record,
-                         std::uint64_t from_batches,
-                         std::uint64_t to_batches) {
-  const bool has_sigs =
-      store.uses_fbf() && store.signatures().size() == store.records().size();
-  const std::size_t n = store.size() - from_record;
-  std::string payload;
-  payload.reserve(kDeltaHeaderBytes +
+  payload.reserve(kSegmentHeaderBytes +
                   store_records_size(store, from_record, has_sigs));
   put<std::uint64_t>(payload, from_batches);
   put<std::uint64_t>(payload, to_batches);
   put<std::uint64_t>(payload, from_record);
   put<std::uint32_t>(payload, static_cast<std::uint32_t>(store.entity_count()));
   put<std::uint8_t>(payload, has_sigs ? 1 : 0);
-  put<std::uint64_t>(payload, n);
+  put<std::uint64_t>(payload, store.size() - from_record);
   put_store_records(payload, store, from_record, has_sigs);
-  return seal_envelope(kDeltaMagic, kDeltaVersion, payload);
+  return seal_envelope(kSegmentMagic, kSegmentVersion, payload);
 }
 
-u::Result<DeltaSegment> decode_delta(std::string_view bytes) {
-  auto payload = open_envelope(bytes, kDeltaMagic, kDeltaVersion, "delta");
-  if (!payload.ok()) {
-    return payload.status();
+u::Result<Segment> decode_segment(std::string_view bytes) {
+  Segment seg;
+  auto header = append_segment(bytes, seg, accept_any);
+  if (!header.ok()) {
+    return header.status();
   }
-  Reader r{payload.value()};
-  DeltaSegment seg;
-  std::uint8_t has_sigs = 0;
-  std::uint64_t n_records = 0;
-  if (!r.get(seg.from_batches) || !r.get(seg.to_batches) ||
-      !r.get(seg.from_record) || !r.get(seg.entity_total) ||
-      !r.get(has_sigs) || !r.get_count(n_records, wire::kMinRecordBytes)) {
-    return u::Status::data_loss("delta payload header malformed");
-  }
-  seg.records.reserve(static_cast<std::size_t>(n_records));
-  seg.entity_ids.reserve(static_cast<std::size_t>(n_records));
-  for (std::uint64_t i = 0; i < n_records; ++i) {
-    PersonRecord rec;
-    std::uint32_t entity = 0;
-    if (!get_record(r, rec) || !r.get(entity)) {
-      return u::Status::data_loss("delta record " + std::to_string(i) +
-                                  " malformed");
-    }
-    seg.records.push_back(std::move(rec));
-    seg.entity_ids.push_back(entity);
-    if (has_sigs != 0) {
-      RecordSignatures sigs;
-      if (!get_signatures(r, sigs)) {
-        return u::Status::data_loss("delta signatures " + std::to_string(i) +
-                                    " malformed");
-      }
-      seg.signatures.push_back(sigs);
-    }
-  }
-  if (!r.done()) {
-    return u::Status::data_loss("delta payload has trailing bytes");
-  }
+  seg.header = header.value();
   return seg;
+}
+
+u::Result<SegmentHeader> verify_segment(std::string_view bytes) {
+  return parse_segment(bytes, accept_any,
+                       [](PersonRecord&, std::uint32_t, RecordSignatures&) {});
 }
 
 // --- manifest ----------------------------------------------------------
 
 std::string encode_manifest(const SnapshotManifest& manifest) {
   std::string payload;
-  put_string(payload, manifest.base_blob);
-  put<std::uint64_t>(payload, manifest.base_batches);
-  put<std::uint64_t>(payload, manifest.base_records);
   put<std::uint32_t>(payload,
-                     static_cast<std::uint32_t>(manifest.deltas.size()));
-  for (const auto& seg : manifest.deltas) {
+                     static_cast<std::uint32_t>(manifest.segments.size()));
+  for (const auto& seg : manifest.segments) {
     put_string(payload, seg.blob);
     put<std::uint64_t>(payload, seg.from_batches);
     put<std::uint64_t>(payload, seg.to_batches);
@@ -383,25 +288,23 @@ u::Result<SnapshotManifest> decode_manifest(std::string_view bytes) {
   }
   Reader r{payload.value()};
   SnapshotManifest manifest;
-  std::uint32_t n_deltas = 0;
-  if (!r.get_string(manifest.base_blob) || !r.get(manifest.base_batches) ||
-      !r.get(manifest.base_records) ||
-      !r.get_count(n_deltas,
+  std::uint32_t n_segments = 0;
+  if (!r.get_count(n_segments,
                    sizeof(std::uint32_t) + 4 * sizeof(std::uint64_t))) {
     return u::Status::data_loss("manifest payload malformed");
   }
-  std::uint64_t batches = manifest.base_batches;
-  std::uint64_t records = manifest.base_records;
-  for (std::uint32_t i = 0; i < n_deltas; ++i) {
-    SnapshotManifest::Segment seg;
+  std::uint64_t batches = 0;
+  std::uint64_t records = 0;
+  for (std::uint32_t i = 0; i < n_segments; ++i) {
+    SnapshotManifest::Entry seg;
     if (!r.get_string(seg.blob) || !r.get(seg.from_batches) ||
         !r.get(seg.to_batches) || !r.get(seg.from_record) ||
         !r.get(seg.to_record)) {
       return u::Status::data_loss("manifest segment " + std::to_string(i) +
                                   " malformed");
     }
-    // The chain must be contiguous: each delta starts exactly where the
-    // previous coverage ended, in batches AND records.
+    // The chain must be contiguous from 0/0: each segment starts exactly
+    // where the previous coverage ended, in batches AND records.
     if (seg.from_batches != batches || seg.from_record != records ||
         seg.to_batches < seg.from_batches ||
         seg.to_record < seg.from_record) {
@@ -410,7 +313,7 @@ u::Result<SnapshotManifest> decode_manifest(std::string_view bytes) {
     }
     batches = seg.to_batches;
     records = seg.to_record;
-    manifest.deltas.push_back(std::move(seg));
+    manifest.segments.push_back(std::move(seg));
   }
   if (!r.done()) {
     return u::Status::data_loss("manifest payload has trailing bytes");
@@ -422,7 +325,7 @@ u::Result<SnapshotManifest> decode_manifest(std::string_view bytes) {
 
 std::string encode_journal_frame(std::uint64_t seq,
                                  std::span<const PersonRecord> batch) {
-  const std::string payload = encode_batch(batch);
+  const std::string payload = wire::encode_record_list(batch);
   std::string frame;
   put<std::uint32_t>(frame, kFrameMagic);
   put<std::uint64_t>(frame, seq);
@@ -460,49 +363,14 @@ JournalReplay replay_journal(std::string_view bytes) {
       replay.dropped_tail_bytes += left;
       return replay;
     }
-    Reader r{payload};
-    std::uint64_t n = 0;
-    if (!r.get_count(n, wire::kMinRecordBytes)) {
+    auto batch = wire::decode_record_list(payload);
+    if (!batch.ok()) {
       replay.dropped_tail_bytes += left;
       return replay;
     }
-    JournalFrame frame;
-    frame.seq = seq;
-    frame.batch.reserve(static_cast<std::size_t>(n));
-    bool intact = true;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      PersonRecord rec;
-      if (!get_record(r, rec)) {
-        intact = false;
-        break;
-      }
-      frame.batch.push_back(std::move(rec));
-    }
-    if (!intact || !r.done()) {
-      replay.dropped_tail_bytes += left;
-      return replay;
-    }
-    replay.frames.push_back(std::move(frame));
+    replay.frames.push_back({seq, std::move(batch.value())});
     pos += 28 + payload_size;
   }
-}
-
-// --- blob level --------------------------------------------------------
-
-u::Status write_snapshot(storage::StorageBackend& backend,
-                         const storage::BlobRef& ref, const EntityStore& store,
-                         std::uint64_t batches_ingested) {
-  return backend.put(ref, encode_snapshot(store, batches_ingested));
-}
-
-u::Result<std::uint64_t> read_snapshot(storage::StorageBackend& backend,
-                                       const storage::BlobRef& ref,
-                                       EntityStore& store) {
-  auto bytes = backend.get(ref);
-  if (!bytes.ok()) {
-    return bytes.status();
-  }
-  return decode_snapshot(bytes.value(), store);
 }
 
 // --- durable store -----------------------------------------------------
@@ -630,40 +498,32 @@ u::Result<IngestStats> DurableEntityStore::ingest(
 
 u::Status DurableEntityStore::checkpoint() {
   const std::uint64_t to_batches = batches_ingested_;
-  const std::uint64_t from_batches = manifest_.batches_covered();
-  const std::uint64_t from_record = manifest_.records_covered();
-  const bool have_base = !manifest_.base_blob.empty();
-  if (have_base && from_batches == to_batches &&
-      from_record == store_.size()) {
+  const bool have_chain = !manifest_.segments.empty();
+  if (have_chain && manifest_.batches_covered() == to_batches &&
+      manifest_.records_covered() == store_.size()) {
     return {};  // nothing new since the last checkpoint
   }
-  // Full base when none exists yet, or when compaction triggers: by
-  // count (compact_every deltas) or by size (the deltas together now
-  // out-weigh the base, so folding halves recovery's read volume).
+  // Rewrite the chain as one segment from record 0 when none exists yet,
+  // or when compaction triggers: by count (compact_every segments after
+  // the first) or by size (those segments together out-weigh the first,
+  // so folding halves recovery's read volume).
+  const std::uint64_t first_records =
+      have_chain ? manifest_.segments.front().to_record : 0;
   const bool count_trigger = policy_.compact_every > 0 &&
-                             manifest_.deltas.size() >= policy_.compact_every;
-  const bool size_trigger =
-      have_base && manifest_.base_records > 0 &&
-      store_.size() - manifest_.base_records >= manifest_.base_records;
-  const bool full = !have_base || count_trigger || size_trigger;
+                             manifest_.segments.size() > policy_.compact_every;
+  const bool size_trigger = first_records > 0 &&
+                            store_.size() - first_records >= first_records;
+  const bool compact = !have_chain || count_trigger || size_trigger;
 
-  SnapshotManifest next = manifest_;
-  storage::BlobRef blob;
-  std::string bytes;
-  if (full) {
-    blob = policy_.base_ref(to_batches);
-    bytes = encode_snapshot(store_, to_batches);
-    next.base_blob = blob.name;
-    next.base_batches = to_batches;
-    next.base_records = store_.size();
-    next.deltas.clear();
-  } else {
-    blob = policy_.delta_ref(from_batches, to_batches);
-    bytes = encode_delta(store_, static_cast<std::size_t>(from_record),
-                         from_batches, to_batches);
-    next.deltas.push_back({blob.name, from_batches, to_batches, from_record,
-                           store_.size()});
-  }
+  SnapshotManifest next = compact ? SnapshotManifest{} : manifest_;
+  const std::uint64_t from_batches = next.batches_covered();
+  const std::uint64_t from_record = next.records_covered();
+  const storage::BlobRef blob = policy_.segment_ref(from_batches, to_batches);
+  std::string bytes =
+      encode_segment(store_, static_cast<std::size_t>(from_record),
+                     from_batches, to_batches);
+  next.segments.push_back(
+      {blob.name, from_batches, to_batches, from_record, store_.size()});
   if (auto* faults = backend_->faults()) {
     (void)faults->corrupt_bytes(bytes, "snapshot", to_batches);
   }
@@ -676,14 +536,9 @@ u::Status DurableEntityStore::checkpoint() {
   // nothing.
   {
     auto landed = backend_->get(blob);
-    u::Status verified;
-    if (!landed.ok()) {
-      verified = landed.status();
-    } else if (full) {
-      verified = verify_snapshot(landed.value()).status();
-    } else {
-      verified = decode_delta(landed.value()).status();
-    }
+    const u::Status verified = landed.ok()
+                                   ? verify_segment(landed.value()).status()
+                                   : landed.status();
     if (!verified.ok()) {
       (void)backend_->remove(blob);
       return verified;
@@ -704,7 +559,7 @@ u::Status DurableEntityStore::checkpoint() {
   }
   if (!mput.ok()) {
     (void)backend_->remove(blob);
-    if (have_base) {
+    if (have_chain) {
       (void)backend_->put(policy_.manifest_ref(), encode_manifest(manifest_));
     } else {
       (void)backend_->remove(policy_.manifest_ref());
@@ -726,12 +581,8 @@ u::Status DurableEntityStore::checkpoint() {
   manifest_ = std::move(next);
   last_checkpoint_batch_ = to_batches;
   ++stats_.checkpoints;
-  if (full) {
-    if (have_base) {
-      ++stats_.compactions;
-    }
-  } else {
-    ++stats_.deltas_written;
+  if (compact && have_chain) {
+    ++stats_.compactions;
   }
   sweep_unreferenced_blobs();
   return {};
@@ -739,29 +590,23 @@ u::Status DurableEntityStore::checkpoint() {
 
 void DurableEntityStore::sweep_unreferenced_blobs() {
   std::set<std::string> live;
-  live.insert(manifest_.base_blob);
-  for (const auto& seg : manifest_.deltas) {
+  for (const auto& seg : manifest_.segments) {
     live.insert(seg.blob);
   }
-  for (const char* prefix : {"base-", "delta-"}) {
-    auto blobs = backend_->list(policy_.prefix + prefix);
-    if (!blobs.ok()) {
-      continue;  // best effort: orphans cost space, not correctness
-    }
-    for (const auto& ref : blobs.value()) {
-      if (live.find(ref.name) == live.end()) {
-        (void)backend_->remove(ref);
-      }
+  auto blobs = backend_->list(policy_.prefix + "seg-");
+  if (!blobs.ok()) {
+    return;  // best effort: orphans cost space, not correctness
+  }
+  for (const auto& ref : blobs.value()) {
+    if (live.find(ref.name) == live.end()) {
+      (void)backend_->remove(ref);
     }
   }
 }
 
 u::Result<RecoveryReport> DurableEntityStore::recover() {
   RecoveryReport report;
-  EntityStore fresh(comparator_);
-  std::uint64_t position = 0;
   SnapshotManifest manifest;
-  bool have_manifest = false;
   {
     auto bytes = backend_->get(policy_.manifest_ref());
     if (bytes.ok()) {
@@ -770,91 +615,52 @@ u::Result<RecoveryReport> DurableEntityStore::recover() {
         return decoded.status();  // present-but-damaged manifest: data loss
       }
       manifest = std::move(decoded.value());
-      have_manifest = true;
     } else if (bytes.status().code() != u::StatusCode::kNotFound) {
       return bytes.status();
     }
   }
-  if (have_manifest) {
-    // base -> deltas, accumulated into one restore.
-    auto base_bytes = backend_->get(storage::BlobRef{manifest.base_blob});
-    if (!base_bytes.ok()) {
-      return u::Status::data_loss("manifest names missing base blob " +
-                                  manifest.base_blob + ": " +
-                                  base_bytes.status().message());
+  // The segments in manifest order, accumulated into one restore.  Each
+  // must match its entry on all four bounds; decode_manifest already
+  // checked that the entries chain from 0/0 without gap or overlap.
+  Segment chain;
+  for (const auto& entry : manifest.segments) {
+    auto bytes = backend_->get(storage::BlobRef{entry.blob});
+    if (!bytes.ok()) {
+      return u::Status::data_loss("manifest names missing segment blob " +
+                                  entry.blob + ": " +
+                                  bytes.status().message());
     }
-    auto parts = decode_snapshot_parts(base_bytes.value());
-    if (!parts.ok()) {
-      return parts.status();
+    auto header = append_segment(
+        bytes.value(), chain, [&](const SegmentHeader& h) {
+          if (h.from_batches != entry.from_batches ||
+              h.to_batches != entry.to_batches ||
+              h.from_record != entry.from_record ||
+              h.to_record() != entry.to_record) {
+            return u::Status::data_loss("segment blob " + entry.blob +
+                                        " disagrees with its manifest entry");
+          }
+          return u::Status{};
+        });
+    if (!header.ok()) {
+      return header.status();
     }
-    if (parts->batches_ingested != manifest.base_batches ||
-        parts->records.size() != manifest.base_records) {
-      return u::Status::data_loss("base blob disagrees with manifest");
-    }
-    std::vector<PersonRecord> records = std::move(parts->records);
-    std::vector<std::uint32_t> entity_ids = std::move(parts->entity_ids);
-    std::vector<RecordSignatures> signatures = std::move(parts->signatures);
-    std::uint32_t entity_total = parts->entity_total;
-    position = manifest.base_batches;
-    for (const auto& entry : manifest.deltas) {
-      auto delta_bytes = backend_->get(storage::BlobRef{entry.blob});
-      if (!delta_bytes.ok()) {
-        return u::Status::data_loss("manifest names missing delta blob " +
-                                    entry.blob + ": " +
-                                    delta_bytes.status().message());
-      }
-      auto seg = decode_delta(delta_bytes.value());
-      if (!seg.ok()) {
-        return seg.status();
-      }
-      if (seg->from_batches != position ||
-          seg->from_record != records.size() ||
-          seg->to_batches != entry.to_batches ||
-          seg->from_batches != entry.from_batches) {
-        return u::Status::data_loss("delta blob " + entry.blob +
-                                    " breaks the coverage chain");
-      }
-      records.insert(records.end(),
-                     std::make_move_iterator(seg->records.begin()),
-                     std::make_move_iterator(seg->records.end()));
-      entity_ids.insert(entity_ids.end(), seg->entity_ids.begin(),
-                        seg->entity_ids.end());
-      signatures.insert(signatures.end(),
-                        std::make_move_iterator(seg->signatures.begin()),
-                        std::make_move_iterator(seg->signatures.end()));
-      entity_total = seg->entity_total;
-      position = seg->to_batches;
-      ++report.deltas_applied;
-    }
-    if (!signatures.empty() && signatures.size() != records.size()) {
-      // Mixed sig coverage across segments cannot be restored verbatim;
-      // drop and let the store recompute what the comparator needs.
-      signatures.clear();
-    }
-    u::Status restored = fresh.restore(std::move(records),
-                                       std::move(entity_ids), entity_total,
-                                       std::move(signatures));
-    if (!restored.ok()) {
-      return u::Status::data_loss("checkpoint chain inconsistent: " +
-                                  restored.message());
-    }
-    report.snapshot_loaded = true;
-  } else {
-    // Migration read path: a pre-manifest monolithic snapshot, byte-for-
-    // byte the old format, read through whatever backend we were given.
-    auto bytes = backend_->get(policy_.legacy_snapshot_ref());
-    if (bytes.ok()) {
-      auto loaded = decode_snapshot(bytes.value(), fresh);
-      if (!loaded.ok()) {
-        return loaded.status();  // present-but-corrupt: data loss
-      }
-      position = loaded.value();
-      report.snapshot_loaded = true;
-      report.legacy_snapshot = true;
-    } else if (bytes.status().code() != u::StatusCode::kNotFound) {
-      return bytes.status();
-    }
+    chain.header = header.value();
+    ++report.segments_applied;
   }
+  if (chain.signatures.size() != chain.records.size()) {
+    // Mixed sig coverage across segments cannot be restored verbatim;
+    // drop and let the store recompute what the comparator needs.
+    chain.signatures.clear();
+  }
+  EntityStore fresh(comparator_);
+  u::Status restored = fresh.restore(
+      std::move(chain.records), std::move(chain.entity_ids),
+      chain.header.entity_total, std::move(chain.signatures));
+  if (!restored.ok()) {
+    return u::Status::data_loss("checkpoint chain inconsistent: " +
+                                restored.message());
+  }
+  std::uint64_t position = manifest.batches_covered();
   // Journal tail replay on top of the checkpoint chain.
   {
     auto bytes = backend_->get(policy_.journal_ref());
@@ -871,7 +677,13 @@ u::Result<RecoveryReport> DurableEntityStore::recover() {
           continue;
         }
         if (frame.seq != position) {
-          break;  // gap: keep the contiguous prefix only
+          // Acknowledged batches [position, seq) are in neither the
+          // chain nor the journal (a lost checkpoint, or a directory
+          // in a format this reader does not know): refuse to load.
+          return u::Status::data_loss(
+              "journal resumes at batch " + std::to_string(frame.seq) +
+              " but the checkpoint chain covers " +
+              std::to_string(position) + " batches");
         }
         (void)fresh.ingest(frame.batch);
         replayed.push_back(&frame);
@@ -881,9 +693,9 @@ u::Result<RecoveryReport> DurableEntityStore::recover() {
       // The write-ahead guarantee needs the durable journal to be
       // exactly the replayed frames: append() continues after whatever
       // is there, and replay stops at the first damaged frame — so a
-      // damaged tail, pre-checkpoint leftovers or post-gap frames left
-      // in place would strand every batch appended after them on the
-      // next recovery.  Rewrite (atomic put) before accepting ingests.
+      // damaged tail or pre-checkpoint leftovers left in place would
+      // strand every batch appended after them on the next recovery.
+      // Rewrite (atomic put) before accepting ingests.
       if (report.dropped_tail_bytes > 0 ||
           replayed.size() != replay.frames.size()) {
         std::string rewritten;
@@ -901,11 +713,9 @@ u::Result<RecoveryReport> DurableEntityStore::recover() {
   pending_appends_ = 0;
   crashed_ = false;
   store_ = std::move(fresh);
-  manifest_ = have_manifest ? std::move(manifest) : SnapshotManifest{};
+  last_checkpoint_batch_ = manifest.batches_covered();
+  manifest_ = std::move(manifest);
   batches_ingested_ = position;
-  last_checkpoint_batch_ = report.snapshot_loaded
-                               ? position - report.journal_batches_replayed
-                               : 0;
   report.batches_ingested = position;
   return report;
 }

@@ -8,28 +8,26 @@
 //
 // Layout (all blobs named under DurabilityPolicy::prefix):
 //
-//   MANIFEST            names the current base + ordered delta segments
-//   base-<B>.snap       full snapshot covering batches [0, B)
-//   delta-<F>-<T>.seg   records appended during batches [F, T)
+//   MANIFEST            names the ordered segments that rebuild the store
+//   seg-<F>-<T>         records appended during batches [F, T)
 //   journal             append-only write-ahead batch frames
 //
-// Checkpoints are *incremental*: after the first full base, each
-// checkpoint writes only the records added since the last one — O(changes),
-// not O(store) — and a count/size-triggered compaction folds the deltas
-// back into a fresh base.  The manifest is replaced atomically, so a
-// crash anywhere in a checkpoint leaves the previous manifest (plus at
-// worst an orphan blob that the next checkpoint sweeps).
+// A checkpoint blob is one thing, a segment.  Checkpoints are
+// *incremental*: each writes only the records added since the last one —
+// O(changes), not O(store).  The first checkpoint, and a count/size-
+// triggered compaction, write the segment that starts at record 0 and
+// replace the whole chain with it.  The manifest is replaced atomically,
+// so a crash anywhere in a checkpoint leaves the previous manifest (plus
+// at worst an orphan blob that the next checkpoint sweeps).
 //
 //   ingest(batch)  -> append journal frame (group-commit sync policy)
 //                  -> apply to the in-memory store
-//                  -> every N batches: checkpoint (delta or base + manifest
-//                     swap + journal reset)
-//   recover()      -> manifest -> base -> deltas -> journal tail replay
-//                     (or the pre-manifest monolithic snapshot, read
-//                     unchanged through the same backend — migration path)
+//                  -> every N batches: checkpoint (segment put + verify,
+//                     manifest swap, journal reset)
+//   recover()      -> manifest -> segments in order -> journal tail replay
 //
 // Every blob payload carries an FNV-1a checksum; journal frames replay to
-// the longest intact prefix, a damaged base/delta/manifest is detected,
+// the longest intact prefix, a damaged segment or manifest is detected,
 // never silently loaded.  The journal's group-commit policy batches
 // syncs (N appends or T milliseconds); the durability window it opens is
 // exactly the unsynced suffix, and replay order is policy-independent.
@@ -52,85 +50,85 @@ class FaultInjector;
 
 namespace fbf::linkage {
 
-/// Bumped on any layout change; readers reject other versions.  The base
-/// snapshot format is unchanged from the pre-manifest era on purpose:
-/// legacy monolithic snapshots are valid bases.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
-inline constexpr std::uint32_t kDeltaVersion = 1;
-inline constexpr std::uint32_t kManifestVersion = 1;
+/// Bumped on any layout change; readers reject other versions as data
+/// loss (version 1 had separate base and delta blobs).
+inline constexpr std::uint32_t kSegmentVersion = 2;
+inline constexpr std::uint32_t kManifestVersion = 2;
 
 // --- codec: structures <-> checksummed bytes ---------------------------
 
-/// Full-store snapshot (records, entity ids, precomputed signatures) with
-/// a versioned, checksummed header.  `batches_ingested` records the
-/// logical journal position the snapshot covers.
-[[nodiscard]] std::string encode_snapshot(const EntityStore& store,
-                                          std::uint64_t batches_ingested);
-
-/// Decodes into `store` (constructed with the intended comparator) and
-/// returns the snapshot's batches_ingested position.  kDataLoss on any
-/// checksum, version or structure mismatch — a corrupt snapshot is
-/// detected, never loaded.
-[[nodiscard]] fbf::util::Result<std::uint64_t> decode_snapshot(
-    std::string_view bytes, EntityStore& store);
-
-/// Accepts exactly the snapshots decode_snapshot loads — same envelope,
-/// structure and entity-id checks, through the same parser — without
-/// building a store: the walk reuses one record's buffers, so checking a
-/// multi-megabyte base allocates next to nothing.  Returns the
-/// snapshot's batches_ingested position.
-[[nodiscard]] fbf::util::Result<std::uint64_t> verify_snapshot(
-    std::string_view bytes);
-
-/// One incremental checkpoint segment: the records appended while
-/// batches [from_batches, to_batches) ran, plus the entity total after
-/// them.  Applies on top of a store holding exactly `from_record`
-/// records.
-struct DeltaSegment {
+/// What a segment blob says about itself: it holds the records
+/// [from_record, from_record + records) appended while batches
+/// [from_batches, to_batches) ran, plus the entity total after them.
+struct SegmentHeader {
   std::uint64_t from_batches = 0;
   std::uint64_t to_batches = 0;
   std::uint64_t from_record = 0;
+  std::uint64_t records = 0;
   std::uint32_t entity_total = 0;  ///< store-wide total AFTER this segment
+  bool has_sigs = false;           ///< precomputed signatures are kept
+
+  [[nodiscard]] std::uint64_t to_record() const noexcept {
+    return from_record + records;
+  }
+};
+
+/// A decoded segment.
+struct Segment {
+  SegmentHeader header;
   std::vector<PersonRecord> records;
   std::vector<std::uint32_t> entity_ids;
   std::vector<RecordSignatures> signatures;  ///< empty when none are kept
 };
 
-/// Encodes the suffix of `store` starting at record `from_record` as a
-/// delta segment covering batches [from_batches, to_batches).
-[[nodiscard]] std::string encode_delta(const EntityStore& store,
-                                       std::size_t from_record,
-                                       std::uint64_t from_batches,
-                                       std::uint64_t to_batches);
+/// Encodes the records of `store` from `from_record` on (with their
+/// entity ids and precomputed signatures) as the segment covering
+/// batches [from_batches, to_batches).  `from_record` 0 is a full copy
+/// of the store.
+[[nodiscard]] std::string encode_segment(const EntityStore& store,
+                                         std::size_t from_record,
+                                         std::uint64_t from_batches,
+                                         std::uint64_t to_batches);
 
-[[nodiscard]] fbf::util::Result<DeltaSegment> decode_delta(
+/// kDataLoss on any checksum, version or structure mismatch, and on an
+/// entity id >= the segment's entity total — a corrupt segment is
+/// detected, never loaded.
+[[nodiscard]] fbf::util::Result<Segment> decode_segment(
     std::string_view bytes);
 
-/// The manifest: which base blob plus which delta segments, in order,
-/// reconstruct the store.  Replaced atomically on every checkpoint.
+/// Accepts exactly the segments decode_segment accepts, through the same
+/// parser, without keeping the records: the walk reuses one record's
+/// buffers, so checking a multi-megabyte segment allocates next to
+/// nothing.
+[[nodiscard]] fbf::util::Result<SegmentHeader> verify_segment(
+    std::string_view bytes);
+
+/// The manifest: the segments that, applied in order, rebuild the store.
+/// The first starts at batch 0 and record 0, and each later one starts
+/// where the previous one ended.  Replaced atomically on every
+/// checkpoint.
 struct SnapshotManifest {
-  struct Segment {
+  struct Entry {
     std::string blob;
     std::uint64_t from_batches = 0;
     std::uint64_t to_batches = 0;
     std::uint64_t from_record = 0;
     std::uint64_t to_record = 0;
   };
-  std::string base_blob;  ///< empty = no checkpoint has completed yet
-  std::uint64_t base_batches = 0;
-  std::uint64_t base_records = 0;
-  std::vector<Segment> deltas;
+  std::vector<Entry> segments;  ///< empty = no checkpoint has completed yet
 
-  /// Journal position / record count the full chain covers.
+  /// Journal position / record count the chain covers.
   [[nodiscard]] std::uint64_t batches_covered() const noexcept {
-    return deltas.empty() ? base_batches : deltas.back().to_batches;
+    return segments.empty() ? 0 : segments.back().to_batches;
   }
   [[nodiscard]] std::uint64_t records_covered() const noexcept {
-    return deltas.empty() ? base_records : deltas.back().to_record;
+    return segments.empty() ? 0 : segments.back().to_record;
   }
 };
 
 [[nodiscard]] std::string encode_manifest(const SnapshotManifest& manifest);
+/// kDataLoss on a damaged manifest and on any gap or overlap in the
+/// chain, before a single segment is fetched.
 [[nodiscard]] fbf::util::Result<SnapshotManifest> decode_manifest(
     std::string_view bytes);
 
@@ -155,18 +153,6 @@ struct JournalReplay {
 /// yields the longest intact prefix.
 [[nodiscard]] JournalReplay replay_journal(std::string_view bytes);
 
-// --- blob level --------------------------------------------------------
-
-/// Snapshot `store` into the blob `ref` of `backend`.
-[[nodiscard]] fbf::util::Status write_snapshot(
-    storage::StorageBackend& backend, const storage::BlobRef& ref,
-    const EntityStore& store, std::uint64_t batches_ingested);
-
-/// Loads the snapshot blob `ref` into `store`; returns its position.
-[[nodiscard]] fbf::util::Result<std::uint64_t> read_snapshot(
-    storage::StorageBackend& backend, const storage::BlobRef& ref,
-    EntityStore& store);
-
 // --- policy ------------------------------------------------------------
 
 /// When the journal syncs.  The default — every append — is the
@@ -187,16 +173,12 @@ struct GroupCommitPolicy {
 struct DurabilityPolicy {
   /// Prepended to every blob name ("" = backend root).
   std::string prefix;
-  /// Journal blob name (legacy stores journaled under other names).
-  std::string journal_name = "journal";
-  /// Pre-manifest monolithic snapshot blob read when no MANIFEST exists
-  /// (the migration path); never written.
-  std::string legacy_snapshot_name = "store.snap";
   /// Batches between automatic checkpoints; 0 = checkpoint() manually.
   std::size_t checkpoint_every = 4;
-  /// Fold deltas into a fresh base after this many segments (0 = never
-  /// by count).  Compaction also fires when the deltas together hold
-  /// more records than the base (size trigger).
+  /// Compact (rewrite the chain as one segment from record 0) once this
+  /// many segments follow the first (0 = never by count).  Compaction
+  /// also fires when those segments together hold more records than the
+  /// first (size trigger).
   std::size_t compact_every = 8;
   GroupCommitPolicy group_commit;
 
@@ -204,18 +186,12 @@ struct DurabilityPolicy {
     return {prefix + "MANIFEST"};
   }
   [[nodiscard]] storage::BlobRef journal_ref() const {
-    return {prefix + journal_name};
+    return {prefix + "journal"};
   }
-  [[nodiscard]] storage::BlobRef legacy_snapshot_ref() const {
-    return {prefix + legacy_snapshot_name};
-  }
-  [[nodiscard]] storage::BlobRef base_ref(std::uint64_t batches) const {
-    return {prefix + "base-" + std::to_string(batches) + ".snap"};
-  }
-  [[nodiscard]] storage::BlobRef delta_ref(std::uint64_t from,
-                                           std::uint64_t to) const {
-    return {prefix + "delta-" + std::to_string(from) + "-" +
-            std::to_string(to) + ".seg"};
+  [[nodiscard]] storage::BlobRef segment_ref(std::uint64_t from_batches,
+                                             std::uint64_t to_batches) const {
+    return {prefix + "seg-" + std::to_string(from_batches) + "-" +
+            std::to_string(to_batches)};
   }
 };
 
@@ -223,11 +199,10 @@ struct DurabilityPolicy {
 /// trouble, and this is what the trouble cost (the cluster reports its
 /// dropped partitions the same way).
 struct DurabilityStats {
-  std::uint64_t checkpoints = 0;          ///< successful (base or delta)
+  std::uint64_t checkpoints = 0;          ///< successful
   std::uint64_t checkpoint_failures = 0;  ///< failed attempts (retried on
                                           ///< the very next batch)
-  std::uint64_t deltas_written = 0;
-  std::uint64_t compactions = 0;  ///< deltas folded into a new base
+  std::uint64_t compactions = 0;  ///< chains rewritten as one segment
   std::uint64_t journal_appends = 0;
   std::uint64_t journal_syncs = 0;  ///< < appends under group commit
   std::string last_error;  ///< most recent checkpoint/journal failure
@@ -235,9 +210,7 @@ struct DurabilityStats {
 
 /// What recover() found in the backend.
 struct RecoveryReport {
-  bool snapshot_loaded = false;    ///< a base (or legacy snapshot) loaded
-  bool legacy_snapshot = false;    ///< it was a pre-manifest monolithic file
-  std::size_t deltas_applied = 0;
+  std::size_t segments_applied = 0;
   std::size_t journal_batches_replayed = 0;
   std::size_t journal_batches_skipped = 0;  ///< pre-checkpoint leftovers
   std::size_t dropped_tail_bytes = 0;
@@ -270,18 +243,21 @@ class DurableEntityStore {
   [[nodiscard]] fbf::util::Result<IngestStats> ingest(
       std::span<const PersonRecord> batch);
 
-  /// Checkpoint now: a delta of the records added since the last
-  /// checkpoint (or a full base when none exists / compaction triggers),
-  /// then an atomic manifest swap, then a journal reset.  The journal is
-  /// only reset after the new blob AND manifest have been read back and
-  /// checksum-verified, so an injected corruption loses a checkpoint,
-  /// never data.
+  /// Checkpoint now: a segment of the records added since the last
+  /// checkpoint (or, when none exists / compaction triggers, the segment
+  /// from record 0 that replaces the chain), then an atomic manifest
+  /// swap, then a journal reset.  The journal is only reset after the
+  /// new segment AND manifest have been read back and checksum-verified,
+  /// so an injected corruption loses a checkpoint, never data.
   [[nodiscard]] fbf::util::Status checkpoint();
 
-  /// Rebuilds in-memory state from the backend: manifest -> base ->
-  /// deltas -> journal tail (or the legacy monolithic snapshot when no
-  /// manifest exists).  Succeeds with an empty store when the backend
-  /// holds nothing (cold start).  When the journal held anything beyond
+  /// Rebuilds in-memory state from the backend: manifest -> segments in
+  /// order -> journal tail.  Succeeds with an empty store when the
+  /// backend holds nothing (cold start).  kDataLoss when the manifest or
+  /// a segment is damaged, in another format version, or disagrees with
+  /// its manifest entry, and when the journal resumes past what the
+  /// chain covers (acknowledged batches are missing); nothing is loaded
+  /// then.  When the journal held anything beyond
   /// the replayed frames (a crash-damaged tail, pre-checkpoint
   /// leftovers), it is rewritten to exactly the replayed prefix so later
   /// appends stay replayable — a second crash can never lose batches
@@ -317,7 +293,7 @@ class DurableEntityStore {
  private:
   [[nodiscard]] fbf::util::Status ensure_journal();
   [[nodiscard]] fbf::util::Status sync_journal();
-  /// Removes base-/delta- blobs the manifest no longer references.
+  /// Removes segment blobs the manifest no longer references.
   void sweep_unreferenced_blobs();
 
   ComparatorConfig comparator_;

@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
     std::cerr << "recovery failed: " << recovered.status().to_string()
               << "\n";
     return 1;
-  } else if (recovered->snapshot_loaded ||
+  } else if (recovered->segments_applied > 0 ||
              recovered->journal_batches_replayed > 0) {
     std::cout << "recovered store: " << service.durable_store().store().size()
               << " records (" << recovered->journal_batches_replayed

@@ -14,8 +14,8 @@
 // The request-level types live in namespace fbf (they are the public
 // client vocabulary — `fbf::MatchRequest` is what callers build); the
 // service-side types live in fbf::serve.  Codecs use util::wire +
-// linkage::wire::put_record, same as the snapshot and shard-link
-// protocols, so the record layout cannot diverge between durability and
+// linkage::wire::put_record, same as the checkpoint segments and the
+// shard-link protocol, so the record layout cannot diverge between durability and
 // serving.  Every decode is bounds-checked: truncated or trailing bytes
 // come back as kInvalidArgument, never a wild read.
 #pragma once

@@ -6,11 +6,11 @@
 // an object service, and no way to exercise durability faults without a
 // real disk.  StorageBackend is the seam: named immutable blobs with
 // whole-object atomic put/get/list/remove plus an append handle for
-// journals, so the snapshot/manifest/delta/journal machinery above it is
+// journals, so the segment/manifest/journal machinery above it is
 // backend-agnostic.  Two implementations ship:
 //
-//   LocalDirBackend  — blobs are files in one directory (today's layout;
-//                      path-compatible with pre-manifest snapshot files).
+//   LocalDirBackend  — blobs are files in one directory, one file per
+//                      blob name.
 //   MemObjectBackend — S3-style in-process object map, the reference
 //                      backend for crash/fault property tests.
 //

@@ -101,14 +101,4 @@ void write_csv_row(std::ostream& out, const CsvRow& row) {
   out << '\n';
 }
 
-void write_csv(std::ostream& out, const std::vector<CsvRow>& rows,
-               const CsvRow* header) {
-  if (header != nullptr) {
-    write_csv_row(out, *header);
-  }
-  for (const CsvRow& row : rows) {
-    write_csv_row(out, row);
-  }
-}
-
 }  // namespace fbf::util

@@ -47,10 +47,6 @@ class CsvRowReader {
 /// Serializes one row with minimal quoting (quotes only when needed).
 void write_csv_row(std::ostream& out, const CsvRow& row);
 
-/// Serializes a whole table, optional header first.
-void write_csv(std::ostream& out, const std::vector<CsvRow>& rows,
-               const CsvRow* header = nullptr);
-
 /// Escapes a single field (exposed for tests).
 [[nodiscard]] std::string csv_escape(std::string_view field);
 

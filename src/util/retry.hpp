@@ -66,17 +66,6 @@ struct RetryPolicy {
         static_cast<double>(stream.next() >> 11) * 0x1.0p-53;  // [0, 1)
     return nominal * unit;
   }
-
-  /// Total nominal backoff accumulated by `failures` consecutive failed
-  /// attempts (the geometric series the retry loop would have waited
-  /// through; with full_jitter the actual total is bounded above by this).
-  [[nodiscard]] double total_delay_ms(int failures) const noexcept {
-    double total = 0.0;
-    for (int a = 1; a <= failures; ++a) {
-      total += next_delay_ms(a);
-    }
-    return total;
-  }
 };
 
 }  // namespace fbf::util

@@ -26,10 +26,6 @@ class Stopwatch {
     return static_cast<double>(elapsed_ns()) / 1e6;
   }
 
-  [[nodiscard]] double elapsed_s() const noexcept {
-    return static_cast<double>(elapsed_ns()) / 1e9;
-  }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

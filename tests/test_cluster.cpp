@@ -20,6 +20,7 @@
 #include "cluster/rebalance.hpp"
 #include "cluster/service.hpp"
 #include "linkage/person_gen.hpp"
+#include "linkage/record_codec.hpp"
 #include "net/tcp.hpp"
 #include "util/rng.hpp"
 #include "util/wire.hpp"
@@ -429,20 +430,20 @@ TEST(Elastic, NamesAreStable) {
 TEST(ClusterProtocol, RecordListRoundTrips) {
   u::Rng rng(3);
   const auto people = lk::generate_people(9, rng);
-  const std::string blob = cl::encode_record_list(people);
-  const auto decoded = cl::decode_record_list(blob);
+  const std::string blob = lk::wire::encode_record_list(people);
+  const auto decoded = lk::wire::decode_record_list(blob);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded.value().size(), people.size());
   for (std::size_t i = 0; i < people.size(); ++i) {
     EXPECT_EQ(decoded.value()[i].id, people[i].id);
     EXPECT_EQ(decoded.value()[i].last_name, people[i].last_name);
   }
-  EXPECT_FALSE(cl::decode_record_list(blob.substr(0, blob.size() - 3)).ok());
-  EXPECT_FALSE(cl::decode_record_list(blob + "x").ok());
+  EXPECT_FALSE(lk::wire::decode_record_list(blob.substr(0, blob.size() - 3)).ok());
+  EXPECT_FALSE(lk::wire::decode_record_list(blob + "x").ok());
   // A count the blob cannot hold is refused before any reserve.
   std::string inflated;
   u::wire::put<std::uint64_t>(inflated, ~std::uint64_t{0});
-  EXPECT_FALSE(cl::decode_record_list(inflated).ok());
+  EXPECT_FALSE(lk::wire::decode_record_list(inflated).ok());
 }
 
 TEST(ClusterProtocol, PayloadsRoundTrip) {
@@ -561,8 +562,8 @@ TEST(ClusterService, StateMovesAndDropsThroughTheProtocol) {
 
   const std::uint64_t pid = 99;
   const std::span<const lk::PersonRecord> records(fx.clean);
-  const std::string base = cl::encode_record_list(records.subspan(0, 8));
-  const std::string delta = cl::encode_record_list(records.subspan(8));
+  const std::string base = lk::wire::encode_record_list(records.subspan(0, 8));
+  const std::string delta = lk::wire::encode_record_list(records.subspan(8));
   ASSERT_TRUE(call(0, net::FrameType::kReplicaWrite,
                    cl::encode_replica_write({pid, 0, base}))
                   .ok());
